@@ -1,0 +1,72 @@
+"""Golden reports: pinned SHA-256 of every selector's canonical report JSON.
+
+The acceptance gate's reproducibility criterion only checks that a run matches
+itself, so a change that shifts selection or weights by one ulp would pass it.
+This test pins the exact bytes of `report.to_dict()` (canonical JSON, sorted
+keys) for all five selectors on two run seeds. The fixture is small but uses
+scenario `low`, a 10-round MDA window over 200 rounds and a 30 s timeout, so it
+covers the full-window availability factor, the failure penalty and rounds
+with failures.
+
+A change that is meant to alter the reports must update the hashes below and
+say why; a change that is not must leave them as they are.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from fedselsim.config import config_from_dict
+from fedselsim.engine import compare_selectors
+
+SELECTORS = ["random", "fedcs", "tifl", "mda", "tifl_mda"]
+RUN_SEEDS = [1, 2]
+
+GOLDEN = {
+    ("random", 1): "ee6ee392a6b50ceb3d2304575fdeb563b327972955324f586457c6b1459cbf79",
+    ("random", 2): "2b31f95d8cb7ee477242b2cb770a2a6c181184d9c2ae9a01debe9c88bbc82301",
+    ("fedcs", 1): "1e11b959e68f73e46efecf43cb1ebc729a02b2191f3773b2511bee639939aade",
+    ("fedcs", 2): "704120d777431e773077ae78ae8c4ffac3f9cafbbb4e582aafb49f66720aafaf",
+    ("tifl", 1): "963ebd16d0206b2ccf51467b5612ea96dca3a83e485481185b3b00751efd4f74",
+    ("tifl", 2): "95ea1afe2568a8638a0df38c140df0efc5b1bbc44856408b791da8c5b8bdc9bb",
+    ("mda", 1): "e8e5aeffcc8ae3b2713bc33603c8560bc32394b7f96c82c74dcae732395a34fe",
+    ("mda", 2): "2085621440584d8ae777feddea4b562e0cef37adf3f1ce7a0d93a778434e93d8",
+    ("tifl_mda", 1): "a9a4dac11acb42a3e750305dbea4d963d67d04b882c9f24f5c96ae87880e2cb1",
+    ("tifl_mda", 2): "348b0ca7ee4c4cb4295cc1da6f290bb58b451ecc174b590a8fa8d85a5ea04c76",
+}
+
+
+@pytest.fixture(scope="module")
+def comparison():
+    cfg = config_from_dict(
+        {
+            "scenario": {"kind": "low"},
+            "population": {"num_clients": 60},
+            "round": {
+                "clients_per_round": 5,
+                "num_rounds": 200,
+                "timeout_s": 30.0,
+                "eval_every": 50,
+            },
+            "task": {"num_samples": 600},
+            "selector": {"mda": {"memory_length": 10}, "fedcs": {"threshold_s": 14.0}},
+            "seeds": {"run_seeds": RUN_SEEDS},
+        }
+    )
+    return compare_selectors(cfg, SELECTORS)
+
+
+@pytest.mark.parametrize("kind", SELECTORS)
+@pytest.mark.parametrize("seed", RUN_SEEDS)
+def test_report_bytes_match_golden(comparison, kind, seed):
+    (report,) = [r for r in comparison.reports[kind] if r.run_seed == seed]
+    canonical = json.dumps(report.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(canonical).hexdigest() == GOLDEN[(kind, seed)]
+
+
+def test_fixture_exercises_failures(comparison):
+    # Without failures the MDA penalty path would go untested.
+    for kind in SELECTORS:
+        for report in comparison.reports[kind]:
+            assert any(o.failed for o in report.rounds), (kind, report.run_seed)
