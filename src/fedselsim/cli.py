@@ -56,11 +56,18 @@ def _resolve_seeds(cfg, args) -> list[int]:
     return list(cfg.seeds.run_seeds)
 
 
+def _jobs(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    return args.jobs
+
+
 def cmd_run(args) -> int:
+    jobs = _jobs(args)
     cfg = load_config(args.config)
     out_dir = Path(args.out) if args.out else Path(cfg.output.directory)
     seeds = _resolve_seeds(cfg, args)
-    reports = run_many(cfg, seeds, jobs=args.jobs)
+    reports = run_many(cfg, seeds, jobs=jobs)
     summary = summarize_reports(reports)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -122,6 +129,7 @@ def _print_comparison(comparison: Comparison) -> None:
 
 
 def cmd_compare(args) -> int:
+    jobs = _jobs(args)
     cfg = load_config(args.config)
     kinds = [kind.strip() for kind in args.selectors.split(",") if kind.strip()]
     for kind in kinds:
@@ -129,7 +137,7 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"unknown selector {kind!r}; expected one of {SELECTOR_KINDS}")
     out_dir = Path(args.out) if args.out else Path(cfg.output.directory)
     seeds = _resolve_seeds(cfg, args)
-    comparison = compare_selectors(cfg, kinds, run_seeds=seeds, jobs=args.jobs)
+    comparison = compare_selectors(cfg, kinds, run_seeds=seeds, jobs=jobs)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "compare.csv").open("w", newline="") as fh:

@@ -395,6 +395,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         f"population.num_clients ({cfg.population.num_clients}) must be >= "
         f"round.clients_per_round ({cfg.round.clients_per_round})",
     )
+    # Checked whatever the kind: compare runs the tiered selectors on any config.
+    _require(
+        cfg.selector.tifl.num_tiers <= cfg.population.num_clients,
+        f"selector.tifl.num_tiers ({cfg.selector.tifl.num_tiers}) must be <= "
+        f"population.num_clients ({cfg.population.num_clients})",
+    )
     return cfg
 
 

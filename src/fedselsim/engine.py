@@ -267,7 +267,7 @@ def run_round(
     """One round. State histories must already be updated for this round."""
     timeout = cfg.round.timeout_s
     task = cfg.task
-    pool = [c for c in range(len(world.profiles)) if state.availability[c][round_index]]
+    pool = state.available_clients(round_index)
     selected: list[int] = select(pool, cfg.round.clients_per_round, state, rng) if pool else []
     if not selected:
         # Nothing eligible: the server waits out its deadline.

@@ -59,24 +59,74 @@ class TiflConfig:
 class SelectorState:
     """Per-client availability/failure history as the server observes it.
 
-    availability[c][i] — was client c available when round i began (the server
-    pings every client each round, so there are no gaps).
-    failures[c]        — round indices at which c was selected and then failed.
-    round_start_times  — simulated clock value at the start of each round begun.
+    The history is held in arrays, not in per-client lists:
+
+    - availability: one boolean row over all clients per round begun; row i
+      is the ping at the start of round i (the server pings every client each
+      round, so there are no gaps);
+    - failures: two flat, append-only arrays of (client, round) events, in the
+      order update_history received them, so each client's events run in
+      ascending round order;
+    - round_start_times: simulated clock value at the start of each round begun.
+
+    from_history builds a state from per-client lists; client_availability and
+    client_failures read one client's history back.
     """
 
     def __init__(self, num_clients: int):
         if num_clients < 1:
             raise ValueError(f"num_clients must be >= 1, got {num_clients}")
         self.num_clients = num_clients
-        self.availability: list[list[bool]] = [[] for _ in range(num_clients)]
-        self.failures: list[list[int]] = [[] for _ in range(num_clients)]
         self.round_start_times: list[float] = []
+        self._rows: list[np.ndarray] = []
+        self._fail_clients = np.zeros(16, dtype=np.int64)
+        self._fail_rounds = np.zeros(16, dtype=np.int64)
+        self._num_failures = 0
+
+    @classmethod
+    def from_history(
+        cls, per_client: Sequence[tuple[Sequence[bool], Sequence[int]]], starts: Sequence[float]
+    ) -> SelectorState:
+        """A state holding per_client[c] = (availability per round, failed rounds).
+
+        The history is replayed through update_history, so it obeys the same
+        rules: one availability entry per round start, and failures only at
+        earlier rounds at which the client was available.
+        """
+        failed_at: dict[int, list[int]] = {}
+        for c, (hist, fails) in enumerate(per_client):
+            if len(hist) != len(starts):
+                raise ValueError(
+                    f"client {c} has {len(hist)} availability entries for {len(starts)} rounds"
+                )
+            for i in fails:
+                failed_at.setdefault(int(i), []).append(c)
+        if any(i >= len(starts) - 1 for i in failed_at):
+            raise ValueError("failures can only be recorded at rounds before the current one")
+        state = cls(len(per_client))
+        for r, now in enumerate(starts):
+            update_history(
+                state, r, now, [hist[r] for hist, _ in per_client], failed_at.get(r - 1, [])
+            )
+        return state
 
     @property
     def current_round(self) -> int:
         """Index of the round most recently begun; -1 before any history exists."""
         return len(self.round_start_times) - 1
+
+    def client_availability(self, c: int) -> list[bool]:
+        """Whether client c was available at the start of each round begun."""
+        return [bool(row[c]) for row in self._rows]
+
+    def client_failures(self, c: int) -> list[int]:
+        """Round indices at which client c was selected and then failed."""
+        n = self._num_failures
+        return self._fail_rounds[:n][self._fail_clients[:n] == c].tolist()
+
+    def available_clients(self, round_index: int) -> list[int]:
+        """Ascending indices of the clients available when round round_index began."""
+        return np.flatnonzero(self._rows[round_index]).tolist()
 
 
 def update_history(
@@ -103,42 +153,52 @@ def update_history(
     for c in failed:
         if not 0 <= c < state.num_clients:
             raise ValueError(f"failed client index {c} out of range")
-        if not state.availability[c][round_index - 1]:
+        if not state._rows[round_index - 1][c]:
             raise ValueError(
                 f"client {c} reported failed at round {round_index - 1} "
                 "but was unavailable then"
             )
-    for c, avail in enumerate(availability_now):
-        state.availability[c].append(bool(avail))
-    for c in failed:
-        state.failures[c].append(round_index - 1)
+    state._rows.append(np.array(availability_now, dtype=bool))
+    start, stop = state._num_failures, state._num_failures + len(failed)
+    if stop > len(state._fail_clients):
+        capacity = max(2 * len(state._fail_clients), stop)
+        state._fail_clients = np.resize(state._fail_clients, capacity)
+        state._fail_rounds = np.resize(state._fail_rounds, capacity)
+    state._fail_clients[start:stop] = failed
+    state._fail_rounds[start:stop] = round_index - 1
+    state._num_failures = stop
     state.round_start_times.append(float(now))
 
 
-def _availability_factor(state: SelectorState, c: int, cfg: MdaConfig) -> float:
-    hist = state.availability[c]
+def _raw_weights(state: SelectorState, candidates: Sequence[int], cfg: MdaConfig) -> np.ndarray:
+    # Every sum below adds left to right, as a plain Python loop does, so the
+    # weights equal those of the list-based reference in tests/oracles.py bit
+    # for bit (np.sum's pairwise order would change the low bits).
+    cands = np.asarray(candidates, dtype=np.int64)
     m = cfg.memory_length
-    if len(hist) < m:
-        return cfg.default_weight
-    recent = hist[-m:]
-    times = state.round_start_times[-m:]
-    total = times[-1] - times[0]
-    up = 0.0
-    for k in range(m - 1):
-        # an inter-round interval counts only if available at BOTH endpoints
-        if recent[k] and recent[k + 1]:
-            up += times[k + 1] - times[k]
-    return up / total
-
-
-def _failure_penalty(state: SelectorState, c: int) -> float:
-    r = state.current_round
-    fails = state.failures[c]
-    if not fails:
-        return 1.0   # a never-failed client is never penalized
-    max_pen = sum(1.0 / (r - i) for i in range(r))
-    pen = sum(1.0 / (r - i) for i in fails)
-    return 1.0 - pen / max_pen
+    if len(state._rows) < m:
+        raw = np.full(len(cands), cfg.default_weight)
+    else:
+        times = state.round_start_times[-m:]
+        window = [row[cands] for row in state._rows[-m:]]
+        up = np.zeros(len(cands))
+        for k in range(m - 1):
+            # an inter-round interval counts only if available at BOTH endpoints
+            up += np.where(window[k] & window[k + 1], times[k + 1] - times[k], 0.0)
+        raw = up / (times[-1] - times[0])
+    n = state._num_failures
+    if n:
+        # Each client's 1/(r - i) terms are added in event order, i.e. by
+        # ascending round; a never-failed client's sum is 0, its factor exactly 1.
+        r = state.current_round
+        pen = np.bincount(
+            state._fail_clients[:n],
+            weights=1.0 / (r - state._fail_rounds[:n]),
+            minlength=state.num_clients,
+        )
+        max_pen = np.cumsum(1.0 / (r - np.arange(r)))[-1]
+        raw = raw * (1.0 - pen[cands] / max_pen)
+    return raw
 
 
 def mda_raw_weight(state: SelectorState, c: int, cfg: MdaConfig) -> float:
@@ -150,7 +210,7 @@ def mda_raw_weight(state: SelectorState, c: int, cfg: MdaConfig) -> float:
     worst case sum over all completed rounds, so recent failures weigh most and
     a client that failed every round so far gets weight 0.
     """
-    return _availability_factor(state, c, cfg) * _failure_penalty(state, c)
+    return float(_raw_weights(state, [c], cfg)[0])
 
 
 def mda_weights(state: SelectorState, candidates: Sequence[int], cfg: MdaConfig) -> list[float]:
@@ -162,11 +222,11 @@ def mda_weights(state: SelectorState, candidates: Sequence[int], cfg: MdaConfig)
         raise ValueError("mda_weights needs a non-empty candidate set")
     if state.current_round < 0:
         raise ValueError("no round history recorded yet")
-    raw = [mda_raw_weight(state, c, cfg) for c in candidates]
-    total = sum(raw)
+    raw = _raw_weights(state, candidates, cfg)
+    total = np.cumsum(raw)[-1]   # sequential, unlike np.sum
     if total <= 0.0:
         return [1.0 / len(candidates)] * len(candidates)
-    return [w / total for w in raw]
+    return (raw / total).tolist()
 
 
 def weighted_sample_without_replacement(
@@ -181,29 +241,31 @@ def weighted_sample_without_replacement(
         raise ValueError("cannot sample from an empty candidate set")
     if len(weights) != len(candidates):
         raise ValueError(f"{len(candidates)} candidates but {len(weights)} weights")
-    if any(w < 0 for w in weights):
+    w = np.array(weights, dtype=np.float64)
+    if (w < 0).any():
         raise ValueError("weights must be non-negative")
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
 
-    remaining = list(candidates)
-    w = [float(x) for x in weights]
-    picks: list[int] = []
-    while remaining and len(picks) < n:
-        total = sum(w)
-        if total > 0.0:
-            x = rng.random() * total
-            idx = max(j for j, wj in enumerate(w) if wj > 0)  # guard float round-off
-            acc = 0.0
-            for j, wj in enumerate(w):
-                acc += wj
-                if x < acc:
-                    idx = j
-                    break
-        else:
-            idx = int(rng.integers(len(remaining)))
-        picks.append(remaining.pop(idx))
-        w.pop(idx)
+    budget = min(n, len(candidates))
+    taken: list[int] = []
+    # A picked weight is zeroed, not removed: adding 0.0 leaves every prefix
+    # sum as it was without the pick, and searchsorted never lands on a zero.
+    while len(taken) < budget:
+        cum = w.cumsum()
+        if not cum[-1] > 0.0:
+            break
+        idx = int(cum.searchsorted(rng.random() * cum[-1], "right"))
+        if idx == len(cum):  # guard float round-off
+            idx = int(np.flatnonzero(w > 0)[-1])
+        taken.append(idx)
+        w[idx] = 0.0
+    picks = [candidates[j] for j in taken]
+    if len(picks) < budget:
+        skipped = set(taken)
+        remaining = [c for j, c in enumerate(candidates) if j not in skipped]
+        while len(picks) < budget:
+            picks.append(remaining.pop(int(rng.integers(len(remaining)))))
     return picks
 
 

@@ -149,3 +149,94 @@ def random_mda_instance(rng, num_clients=None):
         fails = sorted(rng.choice(eligible, size=k, replace=False).tolist()) if k else []
         per_client.append((hist, [int(i) for i in fails], starts))
     return per_client, starts, m
+
+
+# The list-based MDA weighting and draw that the package's array code replaced,
+# copied unchanged apart from their names. The package must match them exactly:
+# same weights, same picks, and the same RNG state afterwards.
+
+
+class ListState:
+    """The per-client list layout the loops below read."""
+
+    def __init__(self, per_client, starts):
+        self.availability = [[bool(v) for v in hist] for hist, _ in per_client]
+        self.failures = [sorted(int(i) for i in fails) for _, fails in per_client]
+        self.round_start_times = [float(t) for t in starts]
+
+    @property
+    def current_round(self):
+        return len(self.round_start_times) - 1
+
+
+def loop_availability_factor(state, c, cfg):
+    hist = state.availability[c]
+    m = cfg.memory_length
+    if len(hist) < m:
+        return cfg.default_weight
+    recent = hist[-m:]
+    times = state.round_start_times[-m:]
+    total = times[-1] - times[0]
+    up = 0.0
+    for k in range(m - 1):
+        # an inter-round interval counts only if available at BOTH endpoints
+        if recent[k] and recent[k + 1]:
+            up += times[k + 1] - times[k]
+    return up / total
+
+
+def loop_failure_penalty(state, c):
+    r = state.current_round
+    fails = state.failures[c]
+    if not fails:
+        return 1.0   # a never-failed client is never penalized
+    max_pen = sum(1.0 / (r - i) for i in range(r))
+    pen = sum(1.0 / (r - i) for i in fails)
+    return 1.0 - pen / max_pen
+
+
+def loop_mda_raw_weight(state, c, cfg):
+    return loop_availability_factor(state, c, cfg) * loop_failure_penalty(state, c)
+
+
+def loop_mda_weights(state, candidates, cfg):
+    if not candidates:
+        raise ValueError("mda_weights needs a non-empty candidate set")
+    if state.current_round < 0:
+        raise ValueError("no round history recorded yet")
+    raw = [loop_mda_raw_weight(state, c, cfg) for c in candidates]
+    total = sum(raw)
+    if total <= 0.0:
+        return [1.0 / len(candidates)] * len(candidates)
+    return [w / total for w in raw]
+
+
+def loop_weighted_sample(candidates, weights, n, rng):
+    if not candidates:
+        raise ValueError("cannot sample from an empty candidate set")
+    if len(weights) != len(candidates):
+        raise ValueError(f"{len(candidates)} candidates but {len(weights)} weights")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be non-negative")
+    if n < 1:
+        raise ValueError(f"sample size must be >= 1, got {n}")
+
+    remaining = list(candidates)
+    w = [float(x) for x in weights]
+    picks = []
+    while remaining and len(picks) < n:
+        total = sum(w)
+        if total > 0.0:
+            x = rng.random() * total
+            idx = max(j for j, wj in enumerate(w) if wj > 0)  # guard float round-off
+            acc = 0.0
+            for j, wj in enumerate(w):
+                acc += wj
+                if x < acc:
+                    idx = j
+                    break
+        else:
+            idx = int(rng.integers(len(remaining)))
+        picks.append(remaining.pop(idx))
+        w.pop(idx)
+    return picks

@@ -103,12 +103,7 @@ def verdict(capsys, num, ok, detail):
 
 
 def state_from(per_client, starts):
-    state = SelectorState(len(per_client))
-    state.round_start_times = [float(t) for t in starts]
-    for c, (hist, fails) in enumerate(per_client):
-        state.availability[c] = [bool(v) for v in hist]
-        state.failures[c] = sorted(int(i) for i in fails)
-    return state
+    return SelectorState.from_history(per_client, starts)
 
 
 def metric(reports, key):

@@ -119,6 +119,7 @@ def test_unknown_nested_key_suggests_close_match():
         ({"seeds": {"run_seeds": [1, -2]}}, ">= 0"),
         ({"output": {"formats": ["xml"]}}, "output.formats.*expected one of"),
         ({"output": {"formats": []}}, "non-empty list"),
+        ({"selector": {"tifl": {"num_tiers": 101}}}, r"num_tiers \(101\) must be <= .*\(100\)"),
     ],
 )
 def test_rejected_configs(data, fragment):
@@ -239,6 +240,29 @@ def test_cli_run_seed_override(tmp_path):
 def test_cli_run_missing_config_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "ghost.yaml")]) == 1
     assert "error: cannot read config" in capsys.readouterr().err
+
+
+def test_cli_run_more_tiers_than_clients_exits_1(tmp_path, capsys):
+    text = (
+        "population:\n  num_clients: 4\nround:\n  clients_per_round: 2\n"
+        "selector:\n  kind: tifl\n  tifl:\n    num_tiers: 10\n"
+    )
+    cfg_path = write_cfg(tmp_path, text)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: selector.tifl.num_tiers (10) must be <= population.num_clients (4)"
+    ]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_rejects_jobs_below_one(tmp_path, capsys, command, jobs):
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--out", str(out), "--jobs", jobs]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --jobs must be >= 1, got {jobs}"]
+    assert not out.exists()
 
 
 def test_cli_run_short_horizon_exits_2(tmp_path, capsys):

@@ -27,13 +27,7 @@ from fedselsim.selectors import (
 
 def state_from(per_client, starts):
     """Build SelectorState directly from (avail_hist, failures) pairs."""
-    state = SelectorState(len(per_client))
-    state.round_start_times = [float(t) for t in starts]
-    for c, (hist, fails) in enumerate(per_client):
-        assert len(hist) == len(starts)
-        state.availability[c] = [bool(v) for v in hist]
-        state.failures[c] = sorted(int(i) for i in fails)
-    return state
+    return SelectorState.from_history(per_client, starts)
 
 
 def all_on_state(num_clients, rounds, spacing=10.0):
@@ -46,9 +40,9 @@ def all_on_state(num_clients, rounds, spacing=10.0):
 def test_update_history_round_zero():
     state = SelectorState(3)
     update_history(state, 0, 0.0, [True, False, True], [])
-    assert all(len(a) == 1 for a in state.availability)
-    assert state.availability[1] == [False]
-    assert all(f == [] for f in state.failures)
+    assert all(len(state.client_availability(c)) == 1 for c in range(3))
+    assert state.client_availability(1) == [False]
+    assert all(state.client_failures(c) == [] for c in range(3))
     assert state.round_start_times == [0.0]
     assert state.current_round == 0
 
@@ -59,9 +53,9 @@ def test_update_history_appends_failure_as_previous_round():
         update_history(state, r, r * 10.0, [True, True], [])
     # client 0 failed round 4; reported when round 5 begins
     update_history(state, 5, 50.0, [True, True], [0])
-    assert state.failures[0] == [4]
-    assert state.failures[1] == []
-    assert len(state.availability[0]) == 6
+    assert state.client_failures(0) == [4]
+    assert state.client_failures(1) == []
+    assert len(state.client_availability(0)) == 6
 
 
 def test_update_history_guards():
@@ -253,6 +247,109 @@ def test_weighted_sample_guards():
         weighted_sample_without_replacement([1, 2], [0.5, -0.1], 1, rng)
     with pytest.raises(ValueError):
         weighted_sample_without_replacement([1, 2], [0.5, 0.5], 0, rng)
+
+
+# ----------------------------------- exact equality with the list-based loops
+
+def random_instances(seed, count, num_clients=None):
+    """(per_client, starts, cfg, candidates) draws; candidates in random order."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        per_client, starts, m = oracles.random_mda_instance(rng, num_clients)
+        cfg = MdaConfig(memory_length=m, default_weight=float(rng.uniform(0.01, 1.0)))
+        k = int(rng.integers(1, len(per_client) + 1))
+        candidates = [int(c) for c in rng.choice(len(per_client), size=k, replace=False)]
+        yield [(h, f) for h, f, _ in per_client], starts, cfg, candidates
+
+
+@pytest.mark.parametrize("seed, count, num_clients", [(606, 1000, None), (607, 100, 40)])
+def test_mda_weights_equal_list_loops_exactly(seed, count, num_clients):
+    for per_client, starts, cfg, candidates in random_instances(seed, count, num_clients):
+        state = SelectorState.from_history(per_client, starts)
+        ref = oracles.ListState(per_client, starts)
+        for c in range(len(per_client)):
+            assert mda_raw_weight(state, c, cfg) == oracles.loop_mda_raw_weight(ref, c, cfg)
+        assert mda_weights(state, candidates, cfg) == oracles.loop_mda_weights(ref, candidates, cfg)
+
+
+def test_mda_weights_all_zero_equal_list_loops_exactly():
+    per_client = [([True, False, True], []), ([True, False, True], [])]
+    starts = [0.0, 100.0, 250.0]
+    cfg = MdaConfig(memory_length=3)
+    ref = oracles.ListState(per_client, starts)
+    state = SelectorState.from_history(per_client, starts)
+    assert mda_weights(state, [1, 0], cfg) == oracles.loop_mda_weights(ref, [1, 0], cfg)
+
+
+def assert_same_draw(candidates, weights, n, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    picks = weighted_sample_without_replacement(candidates, weights, n, rng)
+    assert picks == oracles.loop_weighted_sample(candidates, weights, n, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed, count, num_clients", [(707, 1000, None), (708, 100, 40)])
+def test_weighted_sample_equals_list_loop_exactly(seed, count, num_clients):
+    rng = np.random.default_rng(seed + 100)
+    instances = random_instances(seed, count, num_clients)
+    for i, (per_client, starts, cfg, candidates) in enumerate(instances):
+        weights = mda_weights(SelectorState.from_history(per_client, starts), candidates, cfg)
+        assert_same_draw(candidates, weights, int(rng.integers(1, len(candidates) + 3)), i)
+
+
+@pytest.mark.parametrize(
+    "candidates, weights, n",
+    [
+        ([4, 7, 9, 2], [0.0, 0.3, 0.0, 0.7], 2),      # zero weights among positive ones
+        ([4, 7, 9, 2], [0.0, 0.3, 0.0, 0.7], 4),      # ...running out of positive mass
+        ([4, 7, 9], [0.0, 0.0, 0.0], 2),              # all zero: uniform draws
+        ([4, 7, 9], [0.2, 0.3, 0.5], 3),              # n == len(candidates)
+        ([4, 7, 9], [0.2, 0.3, 0.5], 10),             # n > len(candidates)
+        ([5], [1.0], 3),                              # single candidate
+        ([5], [0.0], 1),                              # single zero-weight candidate
+        (list(range(50)), [float(i % 7) for i in range(50)], 12),
+    ],
+)
+def test_weighted_sample_edge_cases_equal_list_loop_exactly(candidates, weights, n):
+    for seed in range(20):
+        assert_same_draw(candidates, weights, n, seed)
+
+
+class TopRng:
+    """Draws u = 1.0, so x = u * total lands on the end of the cumulative sum.
+
+    A real generator draws u < 1; this reaches the round-off guard directly.
+    """
+
+    def random(self):
+        return 1.0
+
+    def integers(self, high):
+        return high - 1
+
+
+def test_weighted_sample_round_off_falls_back_like_list_loop():
+    weights = [0.1, 0.2, 0.0]
+    assert weighted_sample_without_replacement([4, 7, 9], weights, 1, TopRng()) == [7]
+    assert oracles.loop_weighted_sample([4, 7, 9], weights, 1, TopRng()) == [7]
+
+
+def test_from_history_round_trips_and_guards():
+    per_client = [([True, True, False, True], [0, 1]), ([False, True, True, True], [2])]
+    state = SelectorState.from_history(per_client, [0.0, 5.0, 9.0, 20.0])
+    assert state.current_round == 3
+    assert state.round_start_times == [0.0, 5.0, 9.0, 20.0]
+    for c, (hist, fails) in enumerate(per_client):
+        assert state.client_availability(c) == hist
+        assert state.client_failures(c) == fails
+    assert state.available_clients(0) == [0]
+    assert state.available_clients(3) == [0, 1]
+    with pytest.raises(ValueError):  # history shorter than the round count
+        SelectorState.from_history([([True], [])], [0.0, 1.0])
+    with pytest.raises(ValueError):  # failure at the current round
+        SelectorState.from_history([([True, True], [1])], [0.0, 1.0])
+    with pytest.raises(ValueError):  # failure while unavailable
+        SelectorState.from_history([([False, True], [0])], [0.0, 1.0])
 
 
 # --------------------------------------------------------------- select_random
