@@ -272,15 +272,6 @@ def test_mda_weights_equal_list_loops_exactly(seed, count, num_clients):
         assert mda_weights(state, candidates, cfg) == oracles.loop_mda_weights(ref, candidates, cfg)
 
 
-def test_mda_weights_all_zero_equal_list_loops_exactly():
-    per_client = [([True, False, True], []), ([True, False, True], [])]
-    starts = [0.0, 100.0, 250.0]
-    cfg = MdaConfig(memory_length=3)
-    ref = oracles.ListState(per_client, starts)
-    state = SelectorState.from_history(per_client, starts)
-    assert mda_weights(state, [1, 0], cfg) == oracles.loop_mda_weights(ref, [1, 0], cfg)
-
-
 def assert_same_draw(candidates, weights, n, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     picks = weighted_sample_without_replacement(candidates, weights, n, rng)
