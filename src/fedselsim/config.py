@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import difflib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import yaml
 
 from .cost import CapabilityBounds
 from .errors import ConfigError
+from .learning import train_split_size
 from .selectors import SELECTOR_KINDS, FedcsConfig, MdaConfig, TiflConfig
 from .traces import SCENARIO_KINDS, TraceClassParams
 
@@ -193,7 +195,10 @@ def _build_scenario_cfg(data: dict) -> ScenarioCfg:
         _require(syn_cfg.pool_size >= 1, "scenario.synthetic.pool_size must be >= 1")
     if "horizon_s" in syn and syn["horizon_s"] is not None:
         syn_cfg.horizon_s = _as_float(syn["horizon_s"], "scenario.synthetic.horizon_s")
-        _require(syn_cfg.horizon_s > 0, "scenario.synthetic.horizon_s must be > 0")
+        _require(
+            0 < syn_cfg.horizon_s < math.inf,
+            f"scenario.synthetic.horizon_s must be finite and > 0, got {syn_cfg.horizon_s}",
+        )
     if "classes" in syn and syn["classes"] is not None:
         raw = syn["classes"]
         if not isinstance(raw, list) or not raw:
@@ -401,6 +406,21 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         f"selector.tifl.num_tiers ({cfg.selector.tifl.num_tiers}) must be <= "
         f"population.num_clients ({cfg.population.num_clients})",
     )
+    train = train_split_size(cfg.task.num_samples, cfg.task.classes_k)
+    _require(
+        cfg.population.num_clients <= train,
+        f"population.num_clients ({cfg.population.num_clients}) must be <= the "
+        f"{train} training samples of task.num_samples ({cfg.task.num_samples})",
+    )
+    horizon = cfg.scenario.synthetic.horizon_s
+    if cfg.scenario.source == "synthetic" and horizon is not None and cfg.round.num_rounds >= 1:
+        # The engine's own round-0 check: such a horizon cannot hold one round.
+        # Longer horizons may still finish a run, so they pass.
+        _require(
+            not cfg.round.timeout_s > horizon + 1e-9,
+            f"scenario.synthetic.horizon_s ({horizon}) must be >= round.timeout_s "
+            f"({cfg.round.timeout_s}): no round fits in the trace horizon",
+        )
     return cfg
 
 

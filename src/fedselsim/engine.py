@@ -281,7 +281,8 @@ def run_round(
     )
     duration = timeout if failed else max(world.round_times[c] for c in selected)
 
-    survivors = [c for c in selected if c not in set(failed)]
+    failed_set = set(failed)
+    survivors = [c for c in selected if c not in failed_set]
     if survivors:
         deltas = []
         for c in survivors:

@@ -46,6 +46,22 @@ def _unpack(params: np.ndarray, classes_k: int, features_d: int):
     return w, b
 
 
+def _class_splits(num_samples: int, classes_k: int) -> list[tuple[int, int]]:
+    """(train, test) sample counts of each class: balanced classes, ~20 % test."""
+    base, rem = divmod(num_samples, classes_k)
+    splits = []
+    for k in range(classes_k):
+        count = base + (1 if k < rem else 0)
+        n_test = max(1, round(0.2 * count))
+        splits.append((count - n_test, n_test))
+    return splits
+
+
+def train_split_size(num_samples: int, classes_k: int) -> int:
+    """Size of make_dataset's train split, which dirichlet_partition divides."""
+    return sum(n_train for n_train, _ in _class_splits(num_samples, classes_k))
+
+
 def make_dataset(
     num_samples: int, features_d: int, classes_k: int, class_sep: float, seed
 ) -> Dataset:
@@ -60,19 +76,17 @@ def make_dataset(
     rng = np.random.default_rng(seed)
     means = rng.normal(0.0, 1.0, size=(classes_k, features_d)) * class_sep
 
-    base, rem = divmod(num_samples, classes_k)
-    counts = [base + (1 if k < rem else 0) for k in range(classes_k)]
+    splits = _class_splits(num_samples, classes_k)
+    counts = [n_train + n_test for n_train, n_test in splits]
     labels = np.repeat(np.arange(classes_k, dtype=np.int64), counts)
     features = means[labels] + rng.normal(0.0, 1.0, size=(num_samples, features_d))
 
     train_parts, test_parts = [], []
     start = 0
-    for count in counts:
-        block = np.arange(start, start + count)
-        n_test = max(1, round(0.2 * count))
-        train_parts.append(block[: count - n_test])
-        test_parts.append(block[count - n_test :])
-        start += count
+    for n_train, n_test in splits:
+        train_parts.append(np.arange(start, start + n_train))
+        test_parts.append(np.arange(start + n_train, start + n_train + n_test))
+        start += n_train + n_test
     return Dataset(
         features=features,
         labels=labels,

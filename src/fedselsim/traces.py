@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,8 @@ class TraceClassParams:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.mean_up_s <= 0 or self.mean_down_s <= 0:
+        # `not > 0` also rejects NaN, which would never reach a horizon.
+        if not (self.mean_up_s > 0 and self.mean_down_s > 0):
             raise ConfigError("mean up/down durations must be > 0")
         if not 0.0 <= self.start_available_prob <= 1.0:
             raise ConfigError("start_available_prob must be in [0, 1]")
@@ -170,22 +172,55 @@ def build_scenario(
     return assigned
 
 
+# Largest number of durations drawn at once; bounds temporary memory on very
+# long traces. Must be even so that each block starts in the same phase.
+_MAX_BLOCK = 4096
+
+
 def generate_trace(params: TraceClassParams, horizon_s: float, rng_seed) -> AvailabilityTrace:
-    """Alternating exponential up/down durations from a Bernoulli start state."""
-    if horizon_s <= 0:
-        raise ValueError(f"horizon_s must be > 0, got {horizon_s}")
+    """Alternating exponential up/down durations from a Bernoulli start state.
+
+    One `rng.random()` draws the start state. The durations then alternate
+    between the current state's mean and the other's, and each flip lands at
+    the running sum of the durations so far; the first sum that reaches
+    `horizon_s` ends the trace.
+
+    The durations are drawn in blocks, but the result is bit for bit that of
+    drawing them one at a time with `t += rng.exponential(mean)`:
+    `Generator.exponential(scale)` is `scale * standard_exponential()` on the
+    same stream, so a block of `standard_exponential(k)` whose even and odd
+    entries are scaled by the two means holds the same k durations;
+    `cumsum` adds left to right as `t += d` does, starting from the running
+    clock; and draws past the horizon come from this trace's own generator,
+    which is then discarded. Blocks have even length, so the phase carries
+    over from one block to the next.
+    """
+    if not 0 < horizon_s < math.inf:
+        raise ValueError(f"horizon_s must be finite and > 0, got {horizon_s}")
     rng = np.random.default_rng(rng_seed)
     state = bool(rng.random() < params.start_available_prob)
-    start = state
-    flips: list[float] = []
+    first, second = (
+        (params.mean_up_s, params.mean_down_s) if state else (params.mean_down_s, params.mean_up_s)
+    )
+    # Size blocks to the expected flip count plus a margin, so most traces
+    # need a single block; a short block only costs another round trip.
+    expected = min(float(_MAX_BLOCK), 2.0 * horizon_s / (first + second))
+    k = min(_MAX_BLOCK, 2 * (int(expected + 3.0 * expected**0.5) // 2 + 4))
+    blocks: list[np.ndarray] = []
     t = 0.0
     while True:
-        t += rng.exponential(params.mean_up_s if state else params.mean_down_s)
-        if t >= horizon_s:
+        times = rng.standard_exponential(k)
+        times[0::2] *= first
+        times[1::2] *= second
+        times[0] += t
+        times.cumsum(out=times)
+        cut = int(times.searchsorted(horizon_s))
+        if cut < k:
+            blocks.append(times[:cut])
             break
-        flips.append(t)
-        state = not state
-    return AvailabilityTrace(start, tuple(flips), horizon_s)
+        blocks.append(times)
+        t = float(times[-1])
+    return AvailabilityTrace(state, tuple(np.concatenate(blocks).tolist()), horizon_s)
 
 
 def generate_pool(

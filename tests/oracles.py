@@ -240,3 +240,26 @@ def loop_weighted_sample(candidates, weights, n, rng):
         picks.append(remaining.pop(idx))
         w.pop(idx)
     return picks
+
+
+# The one-draw-per-flip trace generator that the package's block-drawn one
+# replaced, copied unchanged apart from its name and its return value (the start
+# state and the flips, not an AvailabilityTrace). The package must match it
+# exactly: same start state, same flip times.
+
+
+def loop_generate_trace(params, horizon_s, rng_seed):
+    if horizon_s <= 0:
+        raise ValueError(f"horizon_s must be > 0, got {horizon_s}")
+    rng = np.random.default_rng(rng_seed)
+    state = bool(rng.random() < params.start_available_prob)
+    start = state
+    flips: list[float] = []
+    t = 0.0
+    while True:
+        t += rng.exponential(params.mean_up_s if state else params.mean_down_s)
+        if t >= horizon_s:
+            break
+        flips.append(t)
+        state = not state
+    return start, tuple(flips)

@@ -120,11 +120,40 @@ def test_unknown_nested_key_suggests_close_match():
         ({"output": {"formats": ["xml"]}}, "output.formats.*expected one of"),
         ({"output": {"formats": []}}, "non-empty list"),
         ({"selector": {"tifl": {"num_tiers": 101}}}, r"num_tiers \(101\) must be <= .*\(100\)"),
+        (
+            {"population": {"num_clients": 300}, "task": {"num_samples": 100}},
+            r"num_clients \(300\) must be <= the 80 training samples",
+        ),
+        (
+            {"scenario": {"synthetic": {"horizon_s": 119.0}}},
+            r"horizon_s \(119\.0\) must be >= round\.timeout_s \(120\.0\)",
+        ),
+        ({"scenario": {"synthetic": {"horizon_s": "inf"}}}, "horizon_s must be finite"),
+        (
+            {"scenario": {"synthetic": {"classes": [
+                {"mean_up_s": "nan", "mean_down_s": 1.0, "start_available_prob": 0.5}
+            ]}}},
+            "mean up/down durations must be > 0",
+        ),
     ],
 )
 def test_rejected_configs(data, fragment):
     with pytest.raises(ConfigError, match=fragment):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"scenario": {"synthetic": {"horizon_s": 120.0}}},
+        {"scenario": {"synthetic": {"horizon_s": 120.0 - 1e-10}}},
+        {"scenario": {"synthetic": {"horizon_s": 50.0}}, "round": {"num_rounds": 0}},
+        {"scenario": {"source": "file", "trace_file": "t.txt", "synthetic": {"horizon_s": 50.0}}},
+    ],
+)
+def test_horizon_that_can_finish_a_run_is_accepted(data):
+    # Only a horizon the engine would refuse at round 0 is a config error.
+    config_from_dict(data)
 
 
 def test_population_must_cover_cohort():
@@ -266,10 +295,35 @@ def test_cli_rejects_jobs_below_one(tmp_path, capsys, command, jobs):
 
 
 def test_cli_run_short_horizon_exits_2(tmp_path, capsys):
-    text = BASE_YAML + "scenario:\n  synthetic:\n    horizon_s: 50\n"
+    # Round 0 fits (150 s >= the 120 s timeout), but every round lasts at least
+    # the fastest client's ~7 s, so by round 5 the next deadline passes 150 s.
+    text = BASE_YAML + "scenario:\n  synthetic:\n    horizon_s: 150\n"
     cfg_path = write_cfg(tmp_path, text)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
     assert "horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (
+            "scenario:\n  synthetic:\n    horizon_s: 50\n",
+            "error: scenario.synthetic.horizon_s (50.0) must be >= round.timeout_s "
+            "(120.0): no round fits in the trace horizon",
+        ),
+        (
+            "population:\n  num_clients: 300\ntask:\n  num_samples: 100\n",
+            "error: population.num_clients (300) must be <= the 80 training samples "
+            "of task.num_samples (100)",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_unrunnable_config_exits_1(tmp_path, capsys, command, extra, message):
+    text = "round:\n  num_rounds: 3\n" + extra
+    cfg_path = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
 
 
 # ---------------------------------------------------------------- cli compare

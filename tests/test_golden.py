@@ -8,8 +8,12 @@ scenario `low`, a 10-round MDA window over 200 rounds and a 30 s timeout, so it
 covers the full-window availability factor, the failure penalty and rounds
 with failures.
 
-A change that is meant to alter the reports must update the hashes below and
-say why; a change that is not must leave them as they are.
+The synthetic trace pools of the same fixture and of the all-defaults config
+are pinned the same way, as the bytes of their trace file, so a change to trace
+generation shows here even where it would not change a report.
+
+A change that is meant to alter the reports or the pools must update the
+hashes below and say why; a change that is not must leave them as they are.
 """
 
 import hashlib
@@ -18,7 +22,8 @@ import json
 import pytest
 
 from fedselsim.config import config_from_dict
-from fedselsim.engine import compare_selectors
+from fedselsim.engine import compare_selectors, synthetic_pool
+from fedselsim.traces import serialize_trace_file
 
 SELECTORS = ["random", "fedcs", "tifl", "mda", "tifl_mda"]
 RUN_SEEDS = [1, 2]
@@ -37,24 +42,31 @@ GOLDEN = {
 }
 
 
+FIXTURE = {
+    "scenario": {"kind": "low"},
+    "population": {"num_clients": 60},
+    "round": {
+        "clients_per_round": 5,
+        "num_rounds": 200,
+        "timeout_s": 30.0,
+        "eval_every": 50,
+    },
+    "task": {"num_samples": 600},
+    "selector": {"mda": {"memory_length": 10}, "fedcs": {"threshold_s": 14.0}},
+    "seeds": {"run_seeds": RUN_SEEDS},
+}
+
+# SHA-256 of serialize_trace_file(synthetic_pool(cfg)): 180 traces over a
+# 6 000 s horizon for the fixture, 300 over 36 000 s for the defaults.
+GOLDEN_POOLS = {
+    "fixture": "ca8eaac95e403d8a90268883ba5e8cf0a8faf9a899df2e7e5aeb6fc240f86d84",
+    "defaults": "3f9bf11df50f2d271d9c32ea28af4729c04fa058f38c3196b8f422a9a5174393",
+}
+
+
 @pytest.fixture(scope="module")
 def comparison():
-    cfg = config_from_dict(
-        {
-            "scenario": {"kind": "low"},
-            "population": {"num_clients": 60},
-            "round": {
-                "clients_per_round": 5,
-                "num_rounds": 200,
-                "timeout_s": 30.0,
-                "eval_every": 50,
-            },
-            "task": {"num_samples": 600},
-            "selector": {"mda": {"memory_length": 10}, "fedcs": {"threshold_s": 14.0}},
-            "seeds": {"run_seeds": RUN_SEEDS},
-        }
-    )
-    return compare_selectors(cfg, SELECTORS)
+    return compare_selectors(config_from_dict(FIXTURE), SELECTORS)
 
 
 @pytest.mark.parametrize("kind", SELECTORS)
@@ -70,3 +82,9 @@ def test_fixture_exercises_failures(comparison):
     for kind in SELECTORS:
         for report in comparison.reports[kind]:
             assert any(o.failed for o in report.rounds), (kind, report.run_seed)
+
+
+@pytest.mark.parametrize("name, data", [("fixture", FIXTURE), ("defaults", {})])
+def test_synthetic_pool_bytes_match_golden(name, data):
+    text = serialize_trace_file(synthetic_pool(config_from_dict(data)))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_POOLS[name]

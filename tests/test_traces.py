@@ -1,9 +1,13 @@
 """Availability traces: queries, stats, ranking, scenarios, generation, files."""
 
+import math
+
 import numpy as np
 import pytest
 
 import oracles
+from fedselsim import traces
+from fedselsim.config import DEFAULT_TRACE_CLASSES
 from fedselsim.errors import ConfigError, ParseError
 from fedselsim.traces import (
     AvailabilityTrace,
@@ -255,12 +259,77 @@ def test_generate_trace_symmetric_balance():
 
 
 def test_generate_trace_validation():
-    with pytest.raises(ValueError):
-        generate_trace(TraceClassParams(300.0, 300.0, 0.5), 0.0, 1)
+    for horizon in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            generate_trace(TraceClassParams(300.0, 300.0, 0.5), horizon, 1)
     with pytest.raises(ConfigError):
         TraceClassParams(0.0, 300.0, 0.5)
     with pytest.raises(ConfigError):
+        TraceClassParams(300.0, math.nan, 0.5)
+    with pytest.raises(ConfigError):
         TraceClassParams(300.0, 300.0, 1.5)
+
+
+def assert_matches_loop_oracle(params, horizon, seed):
+    trace = generate_trace(params, horizon, seed)
+    expected = oracles.loop_generate_trace(params, horizon, seed)
+    assert (trace.start_available, trace.transitions) == expected
+    assert all(type(t) is float for t in trace.transitions)
+    return trace
+
+
+@pytest.mark.parametrize("params", DEFAULT_TRACE_CLASSES)
+def test_generate_trace_matches_loop_oracle_default_classes(params):
+    # The default horizon (300 rounds x 120 s) and a short one, per class.
+    starts = set()
+    for seed in range(150):
+        for horizon in (36_000.0, 900.0):
+            trace = assert_matches_loop_oracle(params, horizon, np.random.SeedSequence(seed))
+            starts.add(trace.start_available)
+    assert starts == {True, False}
+
+
+@pytest.mark.parametrize("start_prob", [0.0, 1.0])
+def test_generate_trace_matches_loop_oracle_each_start_state(start_prob):
+    params = TraceClassParams(120.0, 480.0, start_prob)
+    for seed in range(50):
+        trace = assert_matches_loop_oracle(params, 7_200.0, seed)
+        assert trace.start_available is (start_prob == 1.0)
+
+
+def test_generate_trace_matches_loop_oracle_without_flips():
+    # Horizons that end before the first duration does: the trace never flips.
+    cases = [
+        (TraceClassParams(1e9, 1e9, 0.5), 1_000.0),
+        (TraceClassParams(300.0, 300.0, 0.5), 1e-6),
+        (TraceClassParams(math.inf, 60.0, 1.0), 10.0),
+    ]
+    for params, horizon in cases:
+        for seed in range(20):
+            assert assert_matches_loop_oracle(params, horizon, seed).transitions == ()
+
+
+def test_generate_trace_matches_loop_oracle_across_blocks():
+    # About 10 000 flips: several blocks of traces._MAX_BLOCK draws.
+    params = TraceClassParams(1.0, 1.0, 0.5)
+    for seed in range(3):
+        trace = assert_matches_loop_oracle(params, 10_000.0, seed)
+        assert len(trace.transitions) > 2 * traces._MAX_BLOCK
+
+
+def test_generate_trace_matches_loop_oracle_random_params():
+    # Means from 0.01 s to 5 000 s and horizons from 10 s to 180 000 s, kept to
+    # at most ~20 000 expected flips so the oracle stays quick.
+    rng = np.random.default_rng(2024)
+    checked = 0
+    while checked < 300:
+        up, down = 10 ** rng.uniform(-2.0, math.log10(5_000.0), size=2)
+        horizon = float(10 ** rng.uniform(1.0, math.log10(180_000.0)))
+        if 2.0 * horizon / (up + down) > 20_000:
+            continue
+        params = TraceClassParams(float(up), float(down), float(rng.uniform()))
+        assert_matches_loop_oracle(params, horizon, np.random.SeedSequence(checked))
+        checked += 1
 
 
 def test_generate_pool_class_counts():
