@@ -24,12 +24,8 @@ from .traces import serialize_trace_file
 
 # Summary rows that also get an across-seed spread row in the comparison CSV
 # (the two accuracy rows are themselves the across-seed mean/std).
-_SPREAD_ROWS = (
-    "Training time(s)",
-    "Failed rounds",
-    "Average failed clients",
-    "Unique participants",
-    "Total participants",
+_SPREAD_ROWS = tuple(
+    label for label in METRIC_ROWS if label not in ("Accuracy mean", "Accuracy std")
 )
 
 

@@ -7,27 +7,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .traces import AvailabilityTrace
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientProfile:
-    """Hardware capability of one client; trace and shard size bound later."""
+    """Hardware capability of one client."""
 
     client_id: str
     time_per_sample_s: float
     down_bw_Bps: float
     up_bw_Bps: float
-    num_samples: int | None = None
-    trace: AvailabilityTrace | None = None
 
     def __post_init__(self):
         if self.time_per_sample_s <= 0:
             raise ValueError(f"{self.client_id}: time_per_sample must be > 0")
         if self.down_bw_Bps <= 0 or self.up_bw_Bps <= 0:
             raise ValueError(f"{self.client_id}: bandwidths must be > 0")
-        if self.num_samples is not None and self.num_samples < 0:
-            raise ValueError(f"{self.client_id}: num_samples must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -60,17 +55,17 @@ class CapabilityBounds:
                 raise ConfigError(f"{name} bounds must satisfy 0 < lo <= hi, got ({lo}, {hi})")
 
 
-def round_time(profile: ClientProfile, dims: TaskDims) -> float:
-    """Download + epochs * samples * per-sample time + upload, in seconds.
+def round_time(profile: ClientProfile, num_samples: int, dims: TaskDims) -> float:
+    """Download + epochs * num_samples (shard size) * per-sample time + upload, in s.
 
     Shared by the engine (ground truth) and FedCS/TiFL (estimate), so the
     estimation error is zero by construction.
     """
-    if profile.num_samples is None:
-        raise ValueError(f"{profile.client_id}: num_samples not set (partition data first)")
+    if num_samples < 0:
+        raise ValueError(f"{profile.client_id}: num_samples must be >= 0")
     down = dims.model_size_bytes / profile.down_bw_Bps
     up = dims.model_size_bytes / profile.up_bw_Bps
-    compute = dims.local_epochs * profile.num_samples * profile.time_per_sample_s
+    compute = dims.local_epochs * num_samples * profile.time_per_sample_s
     return down + compute + up
 
 

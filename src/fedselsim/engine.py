@@ -18,6 +18,7 @@ from .cost import TaskDims, generate_profiles, parse_capability_file, round_time
 from .errors import ConfigError, SimulationError
 from .selectors import SelectorState, make_selector, update_history
 from .traces import (
+    AvailabilityTrace,
     ScenarioSpec,
     build_scenario,
     generate_pool,
@@ -60,11 +61,11 @@ class RoundOutcome:
 class World:
     """Everything the round loop needs, deterministically built from config."""
 
-    profiles: list               # ClientProfile with trace and num_samples bound
+    client_ids: list[str]        # client c's entry in every per-client list
+    traces: list[AvailabilityTrace]
     dataset: learning.Dataset
     shards: list[np.ndarray]
     round_times: list[float]
-    dims: TaskDims
     horizon_s: float
     digest: str
 
@@ -138,10 +139,9 @@ def _read_input(path: str, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
-def _world_digest(profiles, shards) -> str:
+def _world_digest(profiles, traces, shards) -> str:
     h = hashlib.sha256()
-    for profile, shard in zip(profiles, shards):
-        trace = profile.trace
+    for profile, trace, shard in zip(profiles, traces, shards):
         h.update(profile.client_id.encode())
         h.update(
             np.array(
@@ -198,8 +198,6 @@ def build_world(cfg: ExperimentConfig) -> World:
         profiles = profiles[:num_clients]
     else:
         profiles = generate_profiles(num_clients, cfg.population.synthetic, seed_caps)
-    for profile, trace in zip(profiles, assigned):
-        profile.trace = trace
 
     task = cfg.task
     dataset = learning.make_dataset(
@@ -211,15 +209,13 @@ def build_world(cfg: ExperimentConfig) -> World:
     empty = sum(1 for shard in shards if len(shard) == 0)
     if empty:
         log.warning("%d of %d clients received empty data shards", empty, num_clients)
-    for profile, shard in zip(profiles, shards):
-        profile.num_samples = int(len(shard))
 
     dims = TaskDims(
         model_size_bytes=learning.model_size_bytes(task.classes_k, task.features_d),
         local_epochs=task.epochs,
         batch_size=task.batch_size,
     )
-    round_times = [round_time(profile, dims) for profile in profiles]
+    round_times = [round_time(p, len(shard), dims) for p, shard in zip(profiles, shards)]
 
     if cfg.round.strict_availability_failures:
         slowest = max(range(num_clients), key=lambda c: round_times[c])
@@ -230,15 +226,14 @@ def build_world(cfg: ExperimentConfig) -> World:
                 f"{profiles[slowest].client_id}) while strict_availability_failures is on"
             )
 
-    horizon = min(profile.trace.horizon_s for profile in profiles)
     return World(
-        profiles=profiles,
+        client_ids=[profile.client_id for profile in profiles],
+        traces=assigned,
         dataset=dataset,
         shards=shards,
         round_times=round_times,
-        dims=dims,
-        horizon_s=horizon,
-        digest=_world_digest(profiles, shards),
+        horizon_s=min(trace.horizon_s for trace in assigned),
+        digest=_world_digest(profiles, assigned, shards),
     )
 
 
@@ -277,7 +272,7 @@ def run_round(
     failed = tuple(
         c
         for c in selected
-        if _client_fails(world.profiles[c].trace, clock, world.round_times[c], timeout)
+        if _client_fails(world.traces[c], clock, world.round_times[c], timeout)
     )
     duration = timeout if failed else max(world.round_times[c] for c in selected)
 
@@ -323,7 +318,7 @@ def run_experiment(
         world = build_world(cfg)
     num_rounds = cfg.round.num_rounds
     timeout = cfg.round.timeout_s
-    state = SelectorState(len(world.profiles))
+    state = SelectorState(len(world.client_ids))
     select = make_selector(
         cfg.selector.kind,
         round_times=world.round_times,
@@ -345,7 +340,7 @@ def run_experiment(
                 f"trace horizon {world.horizon_s}s; regenerate traces with a horizon "
                 f">= num_rounds * timeout_s = {num_rounds * timeout}s"
             )
-        availability = [is_available(p.trace, clock) for p in world.profiles]
+        availability = [is_available(trace, clock) for trace in world.traces]
         update_history(state, r, clock, availability, prev_failed)
         eval_now = (r + 1) % cfg.round.eval_every == 0 or r == num_rounds - 1
         outcome, model, clock = run_round(
@@ -382,7 +377,7 @@ def run_experiment(
         selector=cfg.selector.kind,
         run_seed=run_seed,
         world_digest=world.digest,
-        client_ids=[p.client_id for p in world.profiles],
+        client_ids=world.client_ids,
         metrics=metrics,
         rounds=outcomes,
         accuracy_curve=curve,
@@ -422,26 +417,48 @@ class Comparison:
     fastest: str
 
 
-def _cell(args) -> ExperimentReport:
-    cfg, kind, seed = args
-    return run_experiment(replace_selector(cfg, kind), seed)
-
-
 def replace_selector(cfg: ExperimentConfig, kind: str) -> ExperimentConfig:
     """A copy of cfg with the selector kind swapped (world seeds untouched)."""
     return replace(cfg, selector=replace(cfg.selector, kind=kind))
 
 
-def run_many(cfg: ExperimentConfig, seeds: list[int], jobs: int = 1) -> list[ExperimentReport]:
-    """One report per run seed, sharing a single deterministically built world."""
-    if not seeds:
+# (cfg, world) of a worker process, set once by its initializer; it stays None
+# in the calling process, which passes its world directly.
+_worker_world: tuple[ExperimentConfig, World] | None = None
+
+
+def _init_worker(cfg: ExperimentConfig, world: World) -> None:
+    global _worker_world
+    _worker_world = (cfg, world)
+
+
+def _run_worker_cell(cell: tuple[str, int]) -> ExperimentReport:
+    (cfg, world), (kind, seed) = _worker_world, cell
+    return run_experiment(replace_selector(cfg, kind), seed, world=world)
+
+
+def run_cells(
+    cfg: ExperimentConfig, cells: list[tuple[str, int]], jobs: int = 1
+) -> list[ExperimentReport]:
+    """One report per (selector kind, run seed) cell, in order, over one world.
+
+    The world is built once, here, so build errors surface in the caller. With
+    ``jobs > 1`` each worker process receives it once through its initializer.
+    """
+    if not cells:
         raise ConfigError("at least one run seed is required")
-    if jobs > 1:
-        cells = [(cfg, cfg.selector.kind, seed) for seed in seeds]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_cell, cells))
     world = build_world(cfg)
-    return [run_experiment(cfg, seed, world=world) for seed in seeds]
+    if jobs <= 1:
+        return [run_experiment(replace_selector(cfg, k), s, world=world) for k, s in cells]
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(cells)), initializer=_init_worker, initargs=(cfg, world)
+    ) as pool:
+        return list(pool.map(_run_worker_cell, cells))
+
+
+def run_many(cfg: ExperimentConfig, seeds: list[int], jobs: int = 1) -> list[ExperimentReport]:
+    """One report per run seed of cfg's selector, sharing one world."""
+    return run_cells(cfg, [(cfg.selector.kind, seed) for seed in seeds], jobs)
 
 
 def compare_selectors(
@@ -456,22 +473,11 @@ def compare_selectors(
     if len(set(selector_kinds)) != len(selector_kinds):
         raise ConfigError(f"duplicate selector names in {selector_kinds}")
     seeds = list(run_seeds) if run_seeds is not None else list(cfg.seeds.run_seeds)
-    if not seeds:
-        raise ConfigError("at least one run seed is required")
+    cells = [(kind, seed) for kind in selector_kinds for seed in seeds]
 
     reports: dict[str, list[ExperimentReport]] = {kind: [] for kind in selector_kinds}
-    if jobs > 1:
-        cells = [(cfg, kind, seed) for kind in selector_kinds for seed in seeds]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for (_, kind, _), report in zip(cells, pool.map(_cell, cells)):
-                reports[kind].append(report)
-    else:
-        world = build_world(cfg)
-        for kind in selector_kinds:
-            cell_cfg = replace_selector(cfg, kind)
-            for seed in seeds:
-                reports[kind].append(run_experiment(cell_cfg, seed, world=world))
-
+    for report in run_cells(cfg, cells, jobs):
+        reports[report.selector].append(report)
     summaries = {kind: summarize_reports(reports[kind]) for kind in selector_kinds}
     fastest = min(
         selector_kinds, key=lambda kind: summaries[kind]["Training time(s)"][0]

@@ -22,10 +22,6 @@ class Dataset:
     test_idx: np.ndarray
     num_classes: int
 
-    @property
-    def num_features(self) -> int:
-        return self.features.shape[1]
-
 
 def num_params(classes_k: int, features_d: int) -> int:
     return classes_k * features_d + classes_k

@@ -254,6 +254,7 @@ def parse_trace_file(text: str) -> list[AvailabilityTrace]:
     """Parse the line-based trace format (see serialize_trace_file for the shape)."""
     horizon: float | None = None
     traces: list[AvailabilityTrace] = []
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -277,6 +278,9 @@ def parse_trace_file(text: str) -> list[AvailabilityTrace]:
             raise ParseError(
                 f"line {lineno}: expected '<client_id> <0|1> <t1> <t2> ...', got {line!r}"
             )
+        if fields[0] in seen:
+            raise ParseError(f"line {lineno}: duplicate client id {fields[0]!r}")
+        seen.add(fields[0])
         try:
             times = tuple(float(v) for v in fields[2:])
         except ValueError:

@@ -326,6 +326,20 @@ def test_cli_unrunnable_config_exits_1(tmp_path, capsys, command, extra, message
     assert capsys.readouterr().err.splitlines() == [message]
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_world_build_error_under_jobs_exits_1(tmp_path, capfd, command):
+    # capfd, not capsys: a worker's traceback would go to file descriptor 2
+    missing = tmp_path / "missing.txt"
+    text = BASE_YAML + f"scenario:\n  source: file\n  trace_file: {missing}\n"
+    cfg_path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--out", str(out), "--jobs", "2"]) == 1
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: cannot read trace file {missing}: ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- cli compare
 
 def test_cli_compare_two_selectors(tmp_path, capsys):

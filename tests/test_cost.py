@@ -14,8 +14,8 @@ from fedselsim.cost import (
 from fedselsim.errors import ConfigError, ParseError
 
 
-def profile(tps=0.05, down=1e6, up=5e5, samples=100):
-    return ClientProfile("c", tps, down, up, num_samples=samples)
+def profile(tps=0.05, down=1e6, up=5e5):
+    return ClientProfile("c", tps, down, up)
 
 
 DIMS = TaskDims(model_size_bytes=1e6, local_epochs=1, batch_size=20)
@@ -23,23 +23,23 @@ DIMS = TaskDims(model_size_bytes=1e6, local_epochs=1, batch_size=20)
 
 def test_round_time_worked_example():
     # 1e6/1e6 download + 1*100*0.05 compute + 1e6/5e5 upload = 1 + 5 + 2
-    assert round_time(profile(), DIMS) == pytest.approx(8.0)
+    assert round_time(profile(), 100, DIMS) == pytest.approx(8.0)
 
 
 def test_round_time_bandwidth_halving():
-    base = round_time(profile(), DIMS)
-    doubled = round_time(profile(down=2e6, up=1e6), DIMS)
+    base = round_time(profile(), 100, DIMS)
+    doubled = round_time(profile(down=2e6, up=1e6), 100, DIMS)
     compute = 1 * 100 * 0.05
     assert doubled - compute == pytest.approx((base - compute) / 2)
 
 
 def test_round_time_zero_samples_is_pure_communication():
-    assert round_time(profile(samples=0), DIMS) == pytest.approx(1.0 + 2.0)
+    assert round_time(profile(), 0, DIMS) == pytest.approx(1.0 + 2.0)
 
 
-def test_round_time_unset_samples():
+def test_round_time_negative_samples():
     with pytest.raises(ValueError, match="num_samples"):
-        round_time(ClientProfile("c", 0.05, 1e6, 5e5), DIMS)
+        round_time(profile(), -1, DIMS)
 
 
 def test_round_time_monotonicity():
@@ -50,17 +50,15 @@ def test_round_time_monotonicity():
         up = rng.uniform(1e3, 1e6)
         samples = int(rng.integers(0, 500))
         dims = TaskDims(rng.uniform(1e3, 1e7), int(rng.integers(1, 4)), 20)
-        base = round_time(ClientProfile("c", tps, down, up, num_samples=samples), dims)
-        assert round_time(ClientProfile("c", tps, down * 2, up, num_samples=samples), dims) <= base
-        assert round_time(ClientProfile("c", tps, down, up * 2, num_samples=samples), dims) <= base
-        assert round_time(ClientProfile("c", tps * 2, down, up, num_samples=samples), dims) >= base
-        assert (
-            round_time(ClientProfile("c", tps, down, up, num_samples=samples + 1), dims) >= base
-        )
+        base = round_time(ClientProfile("c", tps, down, up), samples, dims)
+        assert round_time(ClientProfile("c", tps, down * 2, up), samples, dims) <= base
+        assert round_time(ClientProfile("c", tps, down, up * 2), samples, dims) <= base
+        assert round_time(ClientProfile("c", tps * 2, down, up), samples, dims) >= base
+        assert round_time(ClientProfile("c", tps, down, up), samples + 1, dims) >= base
         bigger = TaskDims(dims.model_size_bytes * 2, dims.local_epochs, dims.batch_size)
-        assert round_time(ClientProfile("c", tps, down, up, num_samples=samples), bigger) >= base
+        assert round_time(ClientProfile("c", tps, down, up), samples, bigger) >= base
         longer = TaskDims(dims.model_size_bytes, dims.local_epochs + 1, dims.batch_size)
-        assert round_time(ClientProfile("c", tps, down, up, num_samples=samples), longer) >= base
+        assert round_time(ClientProfile("c", tps, down, up), samples, longer) >= base
         assert base > 0.0
 
 
@@ -70,7 +68,7 @@ def test_profile_and_dims_validation():
     with pytest.raises(ValueError):
         ClientProfile("c", 0.05, -1.0, 1e6)
     with pytest.raises(ValueError):
-        ClientProfile("c", 0.05, 1e6, 1e6, num_samples=-1)
+        round_time(ClientProfile("c", 0.05, 1e6, 1e6), -1, DIMS)
     with pytest.raises(ValueError):
         TaskDims(0.0, 1, 20)
     with pytest.raises(ValueError):
@@ -86,7 +84,7 @@ def test_parse_capability_example():
     assert profiles[0].time_per_sample_s == 0.05
     assert profiles[0].down_bw_Bps == 1_000_000.0
     assert profiles[0].up_bw_Bps == 500_000.0
-    assert profiles[0].num_samples is None
+    assert profiles[0] == ClientProfile("c1", 0.05, 1_000_000.0, 500_000.0)  # nothing else bound
 
 
 def test_parse_capability_comments():

@@ -1,13 +1,13 @@
 """Round loop: clocks, failures, timeouts, aggregation, metrics, comparisons."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from fedselsim import learning
+from fedselsim import engine, learning
 from fedselsim.config import ExperimentConfig
-from fedselsim.cost import ClientProfile, TaskDims
 from fedselsim.engine import (
     ROUND_LOG_COLUMNS,
     ExperimentReport,
@@ -27,19 +27,14 @@ from fedselsim.traces import AvailabilityTrace, is_available, serialize_trace_fi
 
 
 def tiny_world(traces, round_times, horizon=1_000_000.0):
-    """A hand-held world: empty shards, uniform profiles, explicit round times."""
+    """A hand-held world: empty shards, explicit round times."""
     dataset = learning.make_dataset(30, 3, 2, 1.0, 0)
-    profiles = []
-    for i, trace in enumerate(traces):
-        profiles.append(
-            ClientProfile(f"c{i}", 0.05, 1e6, 1e6, num_samples=0, trace=trace)
-        )
     return World(
-        profiles=profiles,
+        client_ids=[f"c{i}" for i in range(len(traces))],
+        traces=list(traces),
         dataset=dataset,
         shards=[np.array([], dtype=int) for _ in traces],
         round_times=list(round_times),
-        dims=TaskDims(1e3, 1, 20),
         horizon_s=horizon,
         digest="tiny",
     )
@@ -57,8 +52,8 @@ def tiny_cfg(**round_overrides):
 
 
 def primed_state(world, clock=0.0):
-    state = SelectorState(len(world.profiles))
-    availability = [is_available(p.trace, clock) for p in world.profiles]
+    state = SelectorState(len(world.traces))
+    availability = [is_available(trace, clock) for trace in world.traces]
     update_history(state, 0, clock, availability, [])
     return state
 
@@ -403,7 +398,7 @@ def test_round_log_rows_format():
     )
     report = ExperimentReport(
         config={}, selector="random", run_seed=1, world_digest="d",
-        client_ids=[p.client_id for p in world.profiles],
+        client_ids=world.client_ids,
         metrics={}, rounds=[outcome], accuracy_curve=[],
     )
     rows = round_log_rows(report)
@@ -449,6 +444,26 @@ def test_parallel_jobs_match_sequential():
     for kind in ("random", "mda"):
         for a, b in zip(seq.reports[kind], par.reports[kind]):
             assert a.to_dict() == b.to_dict()
+
+
+def test_parallel_cells_build_the_world_once_in_the_caller(monkeypatch):
+    # Workers are forked, so they inherit this wrapper: a build in any of them
+    # raises there and comes back through the pool.
+    pid, builds = os.getpid(), []
+    real_build = engine.build_world
+
+    def build_in_caller_only(cfg):
+        if os.getpid() != pid:
+            raise AssertionError("build_world ran in a worker process")
+        builds.append(cfg)
+        return real_build(cfg)
+
+    monkeypatch.setattr(engine, "build_world", build_in_caller_only)
+    cfg = small_cfg(num_rounds=5)
+    compare_selectors(cfg, ["random", "mda", "tifl"], run_seeds=[1, 2], jobs=2)
+    assert len(builds) == 1
+    run_many(cfg, [1, 2, 3], jobs=2)
+    assert len(builds) == 2
 
 
 def test_run_many_requires_seeds():

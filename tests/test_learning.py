@@ -14,7 +14,7 @@ def test_make_dataset_shapes_and_split():
     assert ds.features.shape == (103, 6)
     assert ds.labels.shape == (103,)
     assert ds.num_classes == 4
-    assert ds.num_features == 6
+    assert ds.features.shape[1] == 6
     # 103 over 4 classes -> counts 26, 26, 26, 25 (remainder to low classes)
     assert np.bincount(ds.labels).tolist() == [26, 26, 26, 25]
     # stratified split: disjoint, covering, every class on both sides

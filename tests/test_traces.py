@@ -382,6 +382,7 @@ def test_serialize_parse_roundtrip():
         ("!horizon 1000\nc1 1 ten\n", "line 2"),           # non-numeric timestamp
         ("!horizon -5\n", "line 1"),                       # non-positive horizon
         ("# nothing\n", "horizon"),                        # no header at all
+        ("!horizon 1000\nc1 1 100\nc1 0\n", "line 3: duplicate client id 'c1'"),
     ],
 )
 def test_parse_trace_file_errors(text, fragment):
