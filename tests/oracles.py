@@ -263,3 +263,56 @@ def loop_generate_trace(params, horizon_s, rng_seed):
         flips.append(t)
         state = not state
     return start, tuple(flips)
+
+
+# The per-batch local SGD that the package's per-epoch-gather trainer replaced,
+# copied unchanged apart from its name, a private copy of `_unpack`, and the
+# empty-shard debug log line it no longer has a logger for. The package must
+# match it byte for byte on every valid input.
+
+
+def _unpack(params, classes_k, features_d):
+    w = params[: classes_k * features_d].reshape(classes_k, features_d)
+    b = params[classes_k * features_d :]
+    return w, b
+
+
+def _softmax_grad(w, b, features, labels, classes_k):
+    logits = features @ w.T + b
+    logits -= logits.max(axis=1, keepdims=True)   # numeric stability
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[np.arange(len(labels)), labels] -= 1.0
+    probs /= len(labels)
+    return probs.T @ features, probs.sum(axis=0)
+
+
+def loop_local_train(
+    global_params: np.ndarray,
+    features: np.ndarray,
+    labels: np.ndarray,
+    classes_k: int,
+    epochs: int,
+    batch_size: int,
+    lr: float,
+    seed,
+) -> np.ndarray:
+    """Mini-batch gradient descent on softmax cross-entropy; returns trained - global.
+
+    An empty shard yields a zero delta (the client "trains" on nothing).
+    """
+    if epochs < 0 or batch_size < 1 or lr < 0:
+        raise ValueError("need epochs >= 0, batch_size >= 1, lr >= 0")
+    if len(labels) == 0:
+        return np.zeros_like(global_params)
+    features_d = features.shape[1]
+    w, b = _unpack(global_params.copy(), classes_k, features_d)
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        order = rng.permutation(len(labels))
+        for s in range(0, len(order), batch_size):
+            batch = order[s : s + batch_size]
+            grad_w, grad_b = _softmax_grad(w, b, features[batch], labels[batch], classes_k)
+            w = w - lr * grad_w
+            b = b - lr * grad_b
+    return np.concatenate([w.ravel(), b]) - global_params

@@ -12,6 +12,11 @@ The synthetic trace pools of the same fixture and of the all-defaults config
 are pinned the same way, as the bytes of their trace file, so a change to trace
 generation shows here even where it would not change a report.
 
+That fixture's shards hold about 8 rows, so each local training is one batch
+of one epoch. A second fixture pins the reports of a training-bound world:
+shards of 28 to 365 rows, batch size 20 (ragged last batches), two epochs and
+64 features x 10 classes, so multi-batch SGD shows here too.
+
 A change that is meant to alter the reports or the pools must update the
 hashes below and say why; a change that is not must leave them as they are.
 """
@@ -64,6 +69,40 @@ GOLDEN_POOLS = {
 }
 
 
+MULTIBATCH_FIXTURE = {
+    "scenario": {"kind": "high"},
+    "population": {"num_clients": 20},
+    "round": {
+        "clients_per_round": 5,
+        "num_rounds": 40,
+        "timeout_s": 600.0,
+        "eval_every": 10,
+    },
+    "task": {"num_samples": 4000, "features_d": 64, "classes_k": 10, "epochs": 2},
+    "selector": {"fedcs": {"threshold_s": 60.0}, "tifl": {"num_tiers": 4}},
+    "seeds": {"run_seeds": RUN_SEEDS},
+}
+
+GOLDEN_MULTIBATCH = {
+    ("random", 1): "5789970a1f968663d68dd6996bbdbf6308507e69f018c81860ebcbc6cc3eb613",
+    ("random", 2): "c494180943d44b117f2a7190cbeeed09e0f72decb94cf629df04e45a081448cc",
+    ("fedcs", 1): "603edc77e9ec0292e624dc20336586f704987308d56114ea0a2ddd9395ca6294",
+    ("fedcs", 2): "72fa666d79c66f1c0ee8d1b3fb533999498329601d44a4e2cc9775bef1e641a8",
+    ("tifl", 1): "68c449262f9c6523e6faffc41dd9dc44d5059dceea225eeba6e32354329665ce",
+    ("tifl", 2): "25543be4e216abc37726935678f58ed6d33e10b1c74521105dde3d46f39f3285",
+    ("mda", 1): "92b21f7b20ce9df2705b4ac6e118f3f9e16b48d9f0427159661c1ab2b48adf6f",
+    ("mda", 2): "489e4b22fe08b204f5d45d30b48597877f8356df61aec32ea3baeb2743a32401",
+    ("tifl_mda", 1): "f081a9e57c90a0befcdea269e505b2d89283e7a8877abffd4f24dacf15bbeeb6",
+    ("tifl_mda", 2): "cb91f9b0f81e5ec17e61553245051a9e588bb2e393be4d5a4516ea33365bb34d",
+}
+
+
+def _report_sha256(comparison, kind, seed):
+    (report,) = [r for r in comparison.reports[kind] if r.run_seed == seed]
+    canonical = json.dumps(report.to_dict(), sort_keys=True).encode()
+    return hashlib.sha256(canonical).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def comparison():
     return compare_selectors(config_from_dict(FIXTURE), SELECTORS)
@@ -72,9 +111,18 @@ def comparison():
 @pytest.mark.parametrize("kind", SELECTORS)
 @pytest.mark.parametrize("seed", RUN_SEEDS)
 def test_report_bytes_match_golden(comparison, kind, seed):
-    (report,) = [r for r in comparison.reports[kind] if r.run_seed == seed]
-    canonical = json.dumps(report.to_dict(), sort_keys=True).encode()
-    assert hashlib.sha256(canonical).hexdigest() == GOLDEN[(kind, seed)]
+    assert _report_sha256(comparison, kind, seed) == GOLDEN[(kind, seed)]
+
+
+@pytest.fixture(scope="module")
+def multibatch_comparison():
+    return compare_selectors(config_from_dict(MULTIBATCH_FIXTURE), SELECTORS)
+
+
+@pytest.mark.parametrize("kind", SELECTORS)
+@pytest.mark.parametrize("seed", RUN_SEEDS)
+def test_multibatch_report_bytes_match_golden(multibatch_comparison, kind, seed):
+    assert _report_sha256(multibatch_comparison, kind, seed) == GOLDEN_MULTIBATCH[(kind, seed)]
 
 
 def test_fixture_exercises_failures(comparison):

@@ -1,5 +1,7 @@
 """Synthetic task: data generation, partitioning, local training, aggregation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,46 @@ def test_local_train_full_batch_descent():
         params = params + learning.local_train(params, X, y, 4, 1, 40, 0.05, step)
         losses.append(oracles.softmax_loss(params, X, y, 4))
     assert all(b < a for a, b in zip(losses, losses[1:]))
+
+
+def test_local_train_matches_loop_oracle_bytes():
+    # Every combination of batch size (ragged last batch included), epochs, lr,
+    # zero/non-zero start and seed type, four times over, with random shard
+    # shapes: n log-uniform in [1, 300], d in [1, 64], k in [2, 10]. The
+    # package must give the per-batch loop's bytes, not just close values.
+    rng = np.random.default_rng(2024)
+    cases = list(itertools.product(
+        (1, 2, 3, 7, 20, 32, 64, None),   # None: larger than the shard
+        (0, 1, 2, 3),
+        (0.0, 0.05, 3.0),
+        (False, True),
+        ("seedseq", "int", "tuple"),
+    )) * 4
+    for i, (batch_size, epochs, lr, zero_start, seed_kind) in enumerate(cases):
+        n = int(np.exp(rng.uniform(0.0, np.log(301))))
+        d = int(rng.integers(1, 65))
+        classes_k = int(rng.integers(2, 11))
+        if batch_size is None:
+            batch_size = n + int(rng.integers(1, 10))
+        X = rng.normal(size=(n, d))
+        y = rng.integers(0, classes_k, size=n)
+        size = learning.num_params(classes_k, d)
+        params = np.zeros(size) if zero_start else rng.normal(scale=0.5, size=size)
+        seed = {
+            "seedseq": np.random.SeedSequence([i, 3, 7]),
+            "int": i,
+            "tuple": (i, 11),
+        }[seed_kind]
+        start = params.copy()
+        args = (params, X, y, classes_k, epochs, batch_size, lr)
+        got = learning.local_train(*args, seed)
+        want = oracles.loop_local_train(*args, seed)
+        assert got.tobytes() == want.tobytes(), (i, n, d, classes_k, batch_size, epochs, lr)
+        assert params.tobytes() == start.tobytes()  # the global model is not written to
+    for d, classes_k in ((1, 2), (64, 10)):
+        params = rng.normal(size=learning.num_params(classes_k, d))
+        args = (params, np.empty((0, d)), np.empty(0, dtype=np.int64), classes_k, 2, 4, 0.05, 1)
+        assert learning.local_train(*args).tobytes() == oracles.loop_local_train(*args).tobytes()
 
 
 def test_local_train_validation():
