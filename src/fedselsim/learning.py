@@ -124,16 +124,6 @@ def dirichlet_partition(dataset: Dataset, num_clients: int, alpha: float, seed) 
     return [np.sort(np.concatenate(parts)) for parts in shards]
 
 
-def _softmax_grad(w, b, features, labels, classes_k):
-    logits = features @ w.T + b
-    logits -= logits.max(axis=1, keepdims=True)   # numeric stability
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
-    probs[np.arange(len(labels)), labels] -= 1.0
-    probs /= len(labels)
-    return probs.T @ features, probs.sum(axis=0)
-
-
 def local_train(
     global_params: np.ndarray,
     features: np.ndarray,
@@ -146,24 +136,57 @@ def local_train(
 ) -> np.ndarray:
     """Mini-batch gradient descent on softmax cross-entropy; returns trained - global.
 
-    An empty shard yields a zero delta (the client "trains" on nothing).
+    Each epoch shuffles the shard with one `permutation` of a
+    `default_rng(seed)` made once per call, then steps through it in batches
+    of `batch_size` rows (the last one may be shorter). An empty shard yields
+    a zero delta (the client "trains" on nothing).
+
+    The rows and one-hot labels are gathered in shuffled order once per epoch,
+    so each batch is a contiguous slice, and each step works in place on its
+    logits and on one gradient buffer laid out like the parameters. This gives
+    the bytes of the plain per-batch form (`loop_local_train` in
+    `tests/oracles.py`) because:
+
+    - every elementwise step is the same IEEE operation in the same order;
+    - subtracting the one-hot row leaves the other probabilities as they are,
+      since p - 0.0 == p for p >= 0;
+    - `grad *= lr` then `params -= grad` computes g * lr == lr * g, then the
+      same subtraction;
+    - BLAS sees the same shapes and layouts, because a contiguous slice of the
+      per-epoch gather holds the rows a per-batch gather would copy.
     """
     if epochs < 0 or batch_size < 1 or lr < 0:
         raise ValueError("need epochs >= 0, batch_size >= 1, lr >= 0")
-    if len(labels) == 0:
+    n = len(labels)
+    if features.ndim != 2 or features.shape[0] != n:
+        raise ValueError(f"need features of shape (len(labels), d) = ({n}, d), got {features.shape}")
+    if n == 0:
         log.debug("local_train on an empty shard: zero delta")
         return np.zeros_like(global_params)
-    features_d = features.shape[1]
-    w, b = _unpack(global_params.copy(), classes_k, features_d)
+    params = global_params.copy()
+    grad = np.empty_like(params)
+    w, b = _unpack(params, classes_k, features.shape[1])
+    grad_w, grad_b = _unpack(grad, classes_k, features.shape[1])
+    eye = np.eye(classes_k)
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
-        order = rng.permutation(len(labels))
-        for s in range(0, len(order), batch_size):
-            batch = order[s : s + batch_size]
-            grad_w, grad_b = _softmax_grad(w, b, features[batch], labels[batch], classes_k)
-            w = w - lr * grad_w
-            b = b - lr * grad_b
-    return np.concatenate([w.ravel(), b]) - global_params
+        order = rng.permutation(n)
+        xs, ys = features[order], eye[labels[order]]
+        for s in range(0, n, batch_size):
+            x, y = xs[s : s + batch_size], ys[s : s + batch_size]
+            z = x @ w.T
+            z += b
+            z -= np.maximum.reduce(z, axis=1, keepdims=True)   # numeric stability
+            np.exp(z, out=z)
+            z /= np.add.reduce(z, axis=1, keepdims=True)
+            z -= y
+            z /= len(x)
+            np.matmul(z.T, x, out=grad_w)
+            np.add.reduce(z, axis=0, out=grad_b)
+            grad *= lr
+            params -= grad
+    params -= global_params
+    return params
 
 
 def fedavg(deltas: list[np.ndarray]) -> np.ndarray | None:

@@ -221,6 +221,14 @@ def test_local_train_validation():
         learning.local_train(params, X, y, 2, 1, 0, 0.1, 0)
     with pytest.raises(ValueError):
         learning.local_train(params, X, y, 2, 1, 4, -0.1, 0)
+    # features must be 2-D with one row per label: more rows were silently cut
+    # to len(labels), fewer failed with an IndexError partway through an epoch
+    for bad in (np.zeros((3, 2)), np.zeros((1, 2)), np.zeros((0, 2)), np.zeros(2),
+                np.zeros((2, 2, 1))):
+        with pytest.raises(ValueError, match="features"):
+            learning.local_train(params, bad, y, 2, 1, 4, 0.1, 0)
+    with pytest.raises(ValueError, match="features"):  # an empty shard is still checked
+        learning.local_train(params, X, np.zeros(0, dtype=int), 2, 1, 4, 0.1, 0)
 
 
 # ---------------------------------------------------------------------- fedavg
