@@ -154,7 +154,25 @@ def cmd_gen_traces(args) -> int:
     return 0
 
 
-def _curve_series(path: Path) -> list[tuple[str, list[dict]]]:
+def _curve_points(path: Path, label: str, curve) -> list[tuple[float, float]]:
+    """The (time_s, accuracy) pairs of one curve; ConfigError names a bad point."""
+    if not isinstance(curve, list):
+        raise ConfigError(f"report {path}: accuracy_curve of {label} is not a list")
+    points = []
+    for i, point in enumerate(curve):
+        values = []
+        for key in ("time_s", "accuracy"):
+            value = point.get(key) if isinstance(point, dict) else None
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(
+                    f"report {path}: point {i} of {label} needs a numeric {key!r}, got {point!r}"
+                )
+            values.append(float(value))
+        points.append((values[0], values[1]))
+    return points
+
+
+def _curve_series(path: Path) -> list[tuple[str, list[tuple[float, float]]]]:
     try:
         document = json.loads(path.read_text())
     except OSError as exc:
@@ -163,18 +181,24 @@ def _curve_series(path: Path) -> list[tuple[str, list[dict]]]:
         raise ConfigError(f"malformed report JSON {path}: {exc}") from None
     stem = path.stem
     if isinstance(document, dict) and "reports" in document:
+        if not isinstance(document["reports"], list):
+            raise ConfigError(f"report {path}: 'reports' is not a list")
         series = []
-        for entry in document["reports"]:
+        for i, entry in enumerate(document["reports"]):
+            if not isinstance(entry, dict):
+                raise ConfigError(f"report {path}: reports[{i}] is not an object, got {entry!r}")
             label = f"{stem}:{entry.get('selector', '?')}:seed{entry.get('run_seed', '?')}"
-            series.append((label, entry.get("accuracy_curve", [])))
+            series.append((label, _curve_points(path, label, entry.get("accuracy_curve", []))))
         return series
     if isinstance(document, dict) and "accuracy_curve" in document:
-        return [(stem, document["accuracy_curve"])]
+        return [(stem, _curve_points(path, stem, document["accuracy_curve"]))]
     raise ConfigError(f"report {path} has no accuracy curves")
 
 
 def cmd_plotdata(args) -> int:
-    series: list[tuple[str, list[dict]]] = []
+    # Every series is read and checked before the output is opened, so a bad
+    # report leaves no partial CSV behind.
+    series: list[tuple[str, list[tuple[float, float]]]] = []
     for raw in args.reports:
         series.extend(_curve_series(Path(raw)))
     out = Path(args.out) if args.out else Path("plotdata.csv")
@@ -185,8 +209,8 @@ def cmd_plotdata(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["label", "time_s", "accuracy"])
         for label, curve in series:
-            for point in curve:
-                writer.writerow([label, repr(float(point["time_s"])), repr(float(point["accuracy"]))])
+            for time_s, accuracy in curve:
+                writer.writerow([label, repr(time_s), repr(accuracy)])
     print(f"wrote {sum(len(c) for _, c in series)} points ({len(series)} series) to {out}")
     return 0
 

@@ -449,14 +449,30 @@ def test_cli_plotdata_accepts_bare_curve(tmp_path):
         ("{}", "no accuracy curves"),
         ("not json at all", "malformed report JSON"),
         (None, "cannot read report"),
+        ('{"accuracy_curve": [{"time_s": 1.0}]}', "point 0 of bad needs a numeric 'accuracy'"),
+        ('{"accuracy_curve": [{"accuracy": 50.0}]}', "point 0 of bad needs a numeric 'time_s'"),
+        ('{"accuracy_curve": [{"time_s": 1.0, "accuracy": 5.0}, {"time_s": "late", "accuracy": 5.0}]}',
+         "point 1 of bad needs a numeric 'time_s'"),
+        ('{"accuracy_curve": [{"time_s": true, "accuracy": 5.0}]}', "numeric 'time_s'"),
+        ('{"accuracy_curve": [3]}', "point 0 of bad needs a numeric 'time_s', got 3"),
+        ('{"accuracy_curve": 7}', "accuracy_curve of bad is not a list"),
+        ('{"reports": [5]}', "reports[0] is not an object"),
+        ('{"reports": 5}', "'reports' is not a list"),
+        ('{"reports": [{"selector": "mda", "run_seed": 1, "accuracy_curve": [{"time_s": 1.0, "accuracy": null}]}]}',
+         "point 0 of bad:mda:seed1 needs a numeric 'accuracy'"),
     ],
 )
 def test_cli_plotdata_bad_inputs(tmp_path, capsys, content, fragment):
     path = tmp_path / "bad.json"
     if content is not None:
         path.write_text(content)
-    assert main(["plotdata", str(path), "--out", str(tmp_path / "pd.csv")]) == 1
-    assert fragment in capsys.readouterr().err
+    out = tmp_path / "pd.csv"
+    assert main(["plotdata", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert str(path) in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_requires_a_subcommand():
