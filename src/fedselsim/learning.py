@@ -159,7 +159,9 @@ def local_train(
         raise ValueError("need epochs >= 0, batch_size >= 1, lr >= 0")
     n = len(labels)
     if features.ndim != 2 or features.shape[0] != n:
-        raise ValueError(f"need features of shape (len(labels), d) = ({n}, d), got {features.shape}")
+        raise ValueError(
+            f"need features of shape (len(labels), d) = ({n}, d), got {features.shape}"
+        )
     if n == 0:
         log.debug("local_train on an empty shard: zero delta")
         return np.zeros_like(global_params)

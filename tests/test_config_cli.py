@@ -451,14 +451,16 @@ def test_cli_plotdata_accepts_bare_curve(tmp_path):
         (None, "cannot read report"),
         ('{"accuracy_curve": [{"time_s": 1.0}]}', "point 0 of bad needs a numeric 'accuracy'"),
         ('{"accuracy_curve": [{"accuracy": 50.0}]}', "point 0 of bad needs a numeric 'time_s'"),
-        ('{"accuracy_curve": [{"time_s": 1.0, "accuracy": 5.0}, {"time_s": "late", "accuracy": 5.0}]}',
+        ('{"accuracy_curve": [{"time_s": 1.0, "accuracy": 5.0}, '
+         '{"time_s": "late", "accuracy": 5.0}]}',
          "point 1 of bad needs a numeric 'time_s'"),
         ('{"accuracy_curve": [{"time_s": true, "accuracy": 5.0}]}', "numeric 'time_s'"),
         ('{"accuracy_curve": [3]}', "point 0 of bad needs a numeric 'time_s', got 3"),
         ('{"accuracy_curve": 7}', "accuracy_curve of bad is not a list"),
         ('{"reports": [5]}', "reports[0] is not an object"),
         ('{"reports": 5}', "'reports' is not a list"),
-        ('{"reports": [{"selector": "mda", "run_seed": 1, "accuracy_curve": [{"time_s": 1.0, "accuracy": null}]}]}',
+        ('{"reports": [{"selector": "mda", "run_seed": 1, '
+         '"accuracy_curve": [{"time_s": 1.0, "accuracy": null}]}]}',
          "point 0 of bad:mda:seed1 needs a numeric 'accuracy'"),
     ],
 )
