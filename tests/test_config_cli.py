@@ -2,11 +2,16 @@
 
 import csv
 import json
+import math
+import random
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
 import yaml
 
+import oracles
 from fedselsim.cli import main
 from fedselsim.config import ExperimentConfig, config_from_dict, load_config
 from fedselsim.engine import ROUND_LOG_COLUMNS, synthetic_pool
@@ -28,6 +33,8 @@ BASE_YAML = textwrap.dedent(
       run_seeds: [1, 2]
     """
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SUMMARY_LABELS = (
     "Training time(s)",
@@ -184,12 +191,193 @@ def test_custom_trace_classes_parse():
     assert cls.weight == 2.0
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {name: None for name in ("scenario", "population", "round", "task", "selector",
+                                 "seeds", "output")},
+        {"scenario": {"synthetic": None}, "population": {"synthetic": None}},
+        {"selector": {"mda": None, "fedcs": None, "tifl": None}},
+        {"scenario": {"trace_file": None}, "population": {"capability_file": None}},
+        {"scenario": {"synthetic": {"pool_size": None, "horizon_s": None, "classes": None}}},
+    ],
+)
+def test_null_takes_the_default(data):
+    assert config_from_dict(data) == ExperimentConfig()
+
+
+@pytest.mark.parametrize(
+    "data, path",
+    [
+        ({"scenario": {"kind": None}}, "scenario.kind"),
+        ({"round": {"num_rounds": None}}, "round.num_rounds"),
+        ({"scenario": {"mix": None}}, "scenario.mix"),
+        ({"seeds": {"run_seeds": None}}, "seeds.run_seeds"),
+        ({"output": {"directory": None}}, "output.directory"),
+    ],
+)
+def test_null_is_rejected_where_it_is_no_default(data, path):
+    with pytest.raises(ConfigError, match="^" + re.escape(path)):
+        config_from_dict(data)
+
+
+# Random config mappings for the differential test below. Each key draws from
+# values of its own (mostly valid, some out of range) or, one time in eight,
+# from NASTY; sections are sometimes null or not mappings, and some mappings
+# carry misspelt keys. Integers stay far inside float range.
+NASTY = (
+    None, True, False, 0, 1, -1, 3, 0.0, 0.5, -0.5, 2.5, 1e9, -1e9, "1e3", "7", " 2 ",
+    "abc", "", "nan", "inf", "-inf", math.nan, math.inf, -math.inf, [], [1], [0.5, 1.5],
+    (0.5, 1.5), [0.6, 0.2, 0.2], ["json"], {}, {"x": 1}, "low", "file",
+)
+
+
+def _class_entry(rnd):
+    values = {
+        "mean_up_s": (90.0, 600, "4e3", 0, -5.0, "nan", math.inf),
+        "mean_down_s": (210.0, 150, "3e2", 0.0, -1, math.nan),
+        "start_available_prob": (0.3, 0, 1, 0.96, "0.5", 1.5, -0.1),
+        "weight": (1.0, 2, 0, "0.5", -1.0, math.nan),
+    }
+    return {k: rnd.choice(v) for k, v in values.items() if rnd.random() < 0.93}
+
+
+def _class_list(rnd):
+    if rnd.random() < 0.1:
+        return rnd.choice(([], [None], [3], ({"mean_up_s": 1.0},)))
+    return [_class_entry(rnd) for _ in range(rnd.randint(1, 3))]
+
+
+def _seed_list(rnd):
+    if rnd.random() < 0.15:
+        return rnd.choice(([], (1, 2), [1, -2], [1.0], ["1"], [True], 4))
+    return [rnd.randint(0, 9) for _ in range(rnd.randint(1, 4))]
+
+
+def _formats(rnd):
+    return rnd.choice((["json"], ["csv"], ["csv", "json"], ["json", "json"], ["xml"], [],
+                       ("json",), [1], "json"))
+
+
+def _pair(rnd):
+    return rnd.choice(([0.02, 0.2], [100, 1000], ("1e2", "1e3"), (5.0, 5.0), [0.2, 0.02],
+                       [0, 1], [1.0], [1, 2, 3], [math.nan, 1.0], [1.0, math.inf]))
+
+
+SCHEMA = {
+    "scenario": {
+        "kind": ("low", "average", "high", "worst", "LOW"),
+        "source": ("synthetic", "synthetic", "file", "files"),
+        "trace_file": (None, "t.txt", "", 5),
+        "mix": ([0.6, 0.2, 0.2], [1, 0, 0], (0.2, 0.2, 0.6), ["0.5", "0.25", "0.25"],
+                [0.5, 0.5], [0.5, 0.4, 0.2], [1.2, -0.1, -0.1], [0.6, 0.2, 0.2, 0.0]),
+        "synthetic": {
+            "pool_size": (None, 1, 40, 300, 0, -3, "300", 30.0),
+            "horizon_s": (None, 120.0, 600, 36000.0, "1e5", 119.0, 50, 0, "inf", "nan"),
+            "classes": _class_list,
+        },
+    },
+    "population": {
+        "num_clients": (1, 2, 12, 40, 100, 300, 5000, 0, -1, "12", 12.0),
+        "capability_source": ("synthetic", "synthetic", "file", "disk"),
+        "capability_file": (None, "caps.txt", 3),
+        "synthetic": {"time_per_sample_s": _pair, "down_bw_Bps": _pair, "up_bw_Bps": _pair},
+    },
+    "round": {
+        "clients_per_round": (1, 2, 5, 10, 20, 0, "4", 2.0),
+        "num_rounds": (0, 1, 8, 300, -1, "ten", 3.0),
+        "timeout_s": (120.0, 30, "1e3", 600.0, 0, -1.0, "soon", "inf"),
+        "eval_every": (1, 4, 25, 0, -2),
+        "strict_availability_failures": (True, False, "yes", 1, 0),
+    },
+    "task": {
+        "num_samples": (400, 2000, 100, 25, 24, 10, 0, "2000"),
+        "features_d": (1, 3, 32, 0, -1),
+        "classes_k": (2, 5, 10, 1, 0),
+        "alpha": (0.2, 1, "0.5", 0, -0.2, "nan"),
+        "lr": (0.05, 0, "1e-2", -0.1, "nan"),
+        "epochs": (1, 2, 0),
+        "batch_size": (1, 20, 0),
+        "seed": (0, 11, -1),
+        "class_sep": (0.3, 0, 2, -0.5, "inf"),
+    },
+    "selector": {
+        "kind": ("random", "fedcs", "tifl", "mda", "tifl_mda", "greedy"),
+        "mda": {
+            "memory_length": (2, 10, 1, 0, "10"),
+            "default_weight": (0.5, 1, 1.0, 0, 0.0, 1.5, "0.5", "nan"),
+        },
+        "fedcs": {
+            "threshold_s": (15.0, 14, "1e1", 0, -1.0, "nan"),
+            "order": ("filter_first", "sample_first", "filtered"),
+        },
+        "tifl": {
+            "num_tiers": (1, 4, 5, 10, 101, 0),
+            "ratio": (1.4, 1, "2", 0, -1.0, "nan"),
+        },
+    },
+    "seeds": {
+        "scenario_seed": (0, 1, 7, -1),
+        "partition_seed": (0, 2, -3),
+        "run_seeds": _seed_list,
+    },
+    "output": {
+        "directory": ("out", "", "results/x", 5),
+        "formats": _formats,
+    },
+}
+
+
+def random_config(rnd, schema=SCHEMA):
+    data = {}
+    for key, choices in schema.items():
+        if rnd.random() >= 0.4:
+            continue
+        if rnd.random() < 0.125:
+            data[key] = rnd.choice(NASTY)
+        elif isinstance(choices, dict):
+            data[key] = random_config(rnd, choices)
+        elif callable(choices):
+            data[key] = choices(rnd)
+        else:
+            data[key] = rnd.choice(choices)
+    if rnd.random() < 0.04:
+        key = rnd.choice(sorted(schema))
+        data[rnd.choice((key[:-1], key + "s", key.upper(), "extra"))] = 1
+    return data
+
+
+def _outcome(load, data):
+    try:
+        return repr(load(data).to_dict())
+    except ConfigError:
+        return "rejected"
+
+
+def test_config_loader_matches_the_parent_loader():
+    rnd = random.Random(20261018)
+    counts = {"accepted": 0, "rejected": 0}
+    for _ in range(20_000):
+        data = random_config(rnd)
+        expected = _outcome(oracles.parent_config_from_dict, data)
+        assert _outcome(config_from_dict, data) == expected, data
+        counts["rejected" if expected == "rejected" else "accepted"] += 1
+    assert min(counts.values()) >= 2_000, counts
+
+
 def test_load_config_reads_yaml(tmp_path):
     path = write_cfg(tmp_path)
     cfg = load_config(path)
     assert cfg == config_from_dict(yaml.safe_load(BASE_YAML))
     assert cfg.population.num_clients == 12
     assert cfg.seeds.run_seeds == (1, 2)
+
+
+def test_shipped_configs_load_and_example_holds_every_default():
+    configs = sorted(CONFIGS.glob("*.yaml"))
+    assert [path.name for path in configs] == ["example.yaml", "low_availability.yaml"]
+    loaded = {path.name: load_config(path) for path in configs}
+    assert loaded["example.yaml"] == ExperimentConfig()
 
 
 def test_load_config_missing_file(tmp_path):
