@@ -1,11 +1,19 @@
-"""Experiment configuration: YAML loading, defaults, strict schema validation."""
+"""Experiment configuration: YAML loading, defaults, strict schema validation.
+
+Each config dataclass checks its own ranges and choices in `__post_init__`,
+in messages that begin with the field's name. `config_from_dict` builds the
+dataclasses field by field from a parsed mapping, puts the section's key path
+in front of those messages, and adds the checks that span sections.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import difflib
+import functools
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
 import yaml
@@ -23,7 +31,17 @@ DEFAULT_TRACE_CLASSES = (
     TraceClassParams(mean_up_s=4000.0, mean_down_s=150.0, start_available_prob=0.96),
 )
 
+SOURCES = ("synthetic", "file")
 OUTPUT_FORMATS = ("json", "csv")
+
+
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise ConfigError(message)
+
+
+def _one_of(name: str, value, choices: tuple[str, ...]) -> None:
+    _require(value in choices, f"{name}: expected one of {choices}, got {value!r}")
 
 
 @dataclass
@@ -31,6 +49,13 @@ class SyntheticTracesCfg:
     pool_size: int | None = None    # default: 3 * num_clients
     horizon_s: float | None = None  # default: max(num_rounds, 1) * timeout_s
     classes: tuple[TraceClassParams, ...] = DEFAULT_TRACE_CLASSES
+
+    def __post_init__(self):
+        _require(self.pool_size is None or self.pool_size >= 1, "pool_size must be >= 1")
+        _require(
+            self.horizon_s is None or 0 < self.horizon_s < math.inf,
+            f"horizon_s must be finite and > 0, got {self.horizon_s}",
+        )
 
 
 @dataclass
@@ -41,6 +66,15 @@ class ScenarioCfg:
     mix: tuple[float, float, float] = (0.6, 0.2, 0.2)
     synthetic: SyntheticTracesCfg = field(default_factory=SyntheticTracesCfg)
 
+    def __post_init__(self):
+        _one_of("kind", self.kind, SCENARIO_KINDS)
+        _one_of("source", self.source, SOURCES)
+        _require(len(self.mix) == 3, f"mix: expected three fractions, got {self.mix!r}")
+        _require(all(f >= 0 for f in self.mix), f"mix: fractions must be >= 0, got {self.mix}")
+        _require(abs(sum(self.mix) - 1.0) <= 1e-9, f"mix: fractions must sum to 1, got {self.mix}")
+        if self.source == "file":
+            _require(self.trace_file is not None, "trace_file is required when source=file")
+
 
 @dataclass
 class PopulationCfg:
@@ -48,6 +82,15 @@ class PopulationCfg:
     capability_source: str = "synthetic"
     capability_file: str | None = None
     synthetic: CapabilityBounds = field(default_factory=CapabilityBounds)
+
+    def __post_init__(self):
+        _require(self.num_clients >= 1, f"num_clients must be >= 1, got {self.num_clients}")
+        _one_of("capability_source", self.capability_source, SOURCES)
+        if self.capability_source == "file":
+            _require(
+                self.capability_file is not None,
+                "capability_file is required when capability_source=file",
+            )
 
 
 @dataclass
@@ -57,6 +100,12 @@ class RoundCfg:
     timeout_s: float = 120.0
     eval_every: int = 25
     strict_availability_failures: bool = True
+
+    def __post_init__(self):
+        _require(self.clients_per_round >= 1, "clients_per_round must be >= 1")
+        _require(self.num_rounds >= 0, "num_rounds must be >= 0")
+        _require(self.timeout_s > 0, "timeout_s must be > 0")
+        _require(self.eval_every >= 1, "eval_every must be >= 1")
 
 
 @dataclass
@@ -71,6 +120,20 @@ class TaskCfg:
     seed: int = 11
     class_sep: float = 0.3
 
+    def __post_init__(self):
+        _require(self.classes_k >= 2, f"classes_k must be >= 2, got {self.classes_k}")
+        _require(self.features_d >= 1, f"features_d must be >= 1, got {self.features_d}")
+        _require(
+            self.num_samples >= 5 * self.classes_k,
+            f"num_samples must be >= {5 * self.classes_k} for {self.classes_k} classes",
+        )
+        _require(self.alpha > 0, f"alpha must be > 0, got {self.alpha}")
+        _require(self.lr >= 0, f"lr must be >= 0, got {self.lr}")
+        _require(self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}")
+        _require(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
+        _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
+        _require(self.class_sep >= 0, f"class_sep must be >= 0, got {self.class_sep}")
+
 
 @dataclass
 class SelectorCfg:
@@ -79,6 +142,9 @@ class SelectorCfg:
     fedcs: FedcsConfig = field(default_factory=FedcsConfig)
     tifl: TiflConfig = field(default_factory=TiflConfig)
 
+    def __post_init__(self):
+        _one_of("kind", self.kind, SELECTOR_KINDS)
+
 
 @dataclass
 class SeedsCfg:
@@ -86,11 +152,20 @@ class SeedsCfg:
     partition_seed: int = 2
     run_seeds: tuple[int, ...] = (1, 2, 3)
 
+    def __post_init__(self):
+        for name in ("scenario_seed", "partition_seed"):
+            _require(getattr(self, name) >= 0, f"{name} must be >= 0")
+        _require(all(s >= 0 for s in self.run_seeds), "run_seeds entries must be >= 0")
+
 
 @dataclass
 class OutputCfg:
     directory: str = "out"
     formats: tuple[str, ...] = OUTPUT_FORMATS
+
+    def __post_init__(self):
+        for fmt in self.formats:
+            _one_of("formats", fmt, OUTPUT_FORMATS)
 
 
 @dataclass
@@ -108,273 +183,78 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
 
-def _reject_unknown(section: dict, allowed: tuple[str, ...], path: str) -> None:
-    for key in section:
-        if key not in allowed:
-            msg = f"unknown config key {path}{key!r}"
-            close = difflib.get_close_matches(str(key), allowed, n=1)
+@functools.cache
+def _fields(cls) -> dict[str, tuple[object, bool]]:
+    """name -> (resolved type, has a default) for each field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default is not MISSING or f.default_factory is not MISSING)
+        for f in dataclasses.fields(cls)
+    }
+
+
+def _null_takes_default(hint) -> bool:
+    args = typing.get_args(hint)
+    return (
+        type(None) in args
+        or dataclasses.is_dataclass(hint)
+        or (typing.get_origin(hint) is tuple and dataclasses.is_dataclass(args[0]))
+    )
+
+
+_EXPECTED = {int: "an integer", bool: "true/false", str: "a string"}
+
+
+def _value(hint, value, path: str):
+    """value as the type hint asks: a scalar, a section, an optional or a list."""
+    if hint is float:
+        if isinstance(value, str):
+            try:
+                return float(value)  # YAML renders shorthand like "1e6" as a string
+            except ValueError:
+                pass
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if hint in _EXPECTED:
+        if isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
+            return value
+        raise ConfigError(f"{path}: expected {_EXPECTED[hint]}, got {value!r}")
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, path)
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return _value(next(a for a in args if a is not type(None)), value, path)
+    # tuple[...]: YAML gives lists; a fixed-length tuple, such as a pair, also takes a tuple.
+    if not (isinstance(value, list) or (isinstance(value, tuple) and ... not in args)) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list, got {value!r}")
+    return tuple(_value(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _build(cls, data, path: str):
+    """An instance of the config dataclass cls from the mapping found at path."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: section {path!r} must be a mapping, got {data!r}")
+    fields = _fields(cls)
+    prefix = f"{path}." if path else ""
+    for key in data:
+        if key not in fields:
+            msg = f"{prefix}{key!r}: unknown config key"
+            close = difflib.get_close_matches(str(key), list(fields), n=1)
             if close:
                 msg += f" (did you mean {close[0]!r}?)"
             raise ConfigError(msg)
-
-
-def _section(data: dict, name: str) -> dict:
-    value = data.get(name, {})
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping")
-    return value
-
-
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_float(value, path: str) -> float:
-    if isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value)  # YAML renders shorthand like "1e6" as a string
-        except ValueError:
-            pass
-    raise ConfigError(f"{path}: expected a number, got {value!r}")
-
-
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true/false, got {value!r}")
-    return value
-
-
-def _as_str(value, path: str, choices: tuple[str, ...] | None = None) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string, got {value!r}")
-    if choices and value not in choices:
-        raise ConfigError(f"{path}: expected one of {choices}, got {value!r}")
-    return value
-
-
-def _as_pair(value, path: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{path}: expected [lo, hi], got {value!r}")
-    return (_as_float(value[0], path), _as_float(value[1], path))
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
-
-
-def _build_scenario_cfg(data: dict) -> ScenarioCfg:
-    _reject_unknown(data, ("kind", "source", "trace_file", "mix", "synthetic"), "scenario.")
-    cfg = ScenarioCfg()
-    if "kind" in data:
-        cfg.kind = _as_str(data["kind"], "scenario.kind", SCENARIO_KINDS)
-    if "source" in data:
-        cfg.source = _as_str(data["source"], "scenario.source", ("synthetic", "file"))
-    if "trace_file" in data and data["trace_file"] is not None:
-        cfg.trace_file = _as_str(data["trace_file"], "scenario.trace_file")
-    if "mix" in data:
-        mix = data["mix"]
-        if not isinstance(mix, (list, tuple)) or len(mix) != 3:
-            raise ConfigError(f"scenario.mix: expected three fractions, got {mix!r}")
-        cfg.mix = tuple(_as_float(v, "scenario.mix") for v in mix)
-        _require(all(f >= 0 for f in cfg.mix), f"scenario.mix: fractions must be >= 0, got {cfg.mix}")
-        _require(abs(sum(cfg.mix) - 1.0) <= 1e-9, f"scenario.mix: fractions must sum to 1, got {cfg.mix}")
-    syn = _section(data, "synthetic")
-    _reject_unknown(syn, ("pool_size", "horizon_s", "classes"), "scenario.synthetic.")
-    syn_cfg = SyntheticTracesCfg()
-    if "pool_size" in syn and syn["pool_size"] is not None:
-        syn_cfg.pool_size = _as_int(syn["pool_size"], "scenario.synthetic.pool_size")
-        _require(syn_cfg.pool_size >= 1, "scenario.synthetic.pool_size must be >= 1")
-    if "horizon_s" in syn and syn["horizon_s"] is not None:
-        syn_cfg.horizon_s = _as_float(syn["horizon_s"], "scenario.synthetic.horizon_s")
-        _require(
-            0 < syn_cfg.horizon_s < math.inf,
-            f"scenario.synthetic.horizon_s must be finite and > 0, got {syn_cfg.horizon_s}",
-        )
-    if "classes" in syn and syn["classes"] is not None:
-        raw = syn["classes"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("scenario.synthetic.classes must be a non-empty list")
-        classes = []
-        for i, entry in enumerate(raw):
-            path = f"scenario.synthetic.classes[{i}]."
-            if not isinstance(entry, dict):
-                raise ConfigError(f"{path[:-1]}: expected a mapping")
-            _reject_unknown(
-                entry, ("mean_up_s", "mean_down_s", "start_available_prob", "weight"), path
-            )
-            for req in ("mean_up_s", "mean_down_s", "start_available_prob"):
-                _require(req in entry, f"{path}{req} is required")
-            classes.append(
-                TraceClassParams(
-                    mean_up_s=_as_float(entry["mean_up_s"], path + "mean_up_s"),
-                    mean_down_s=_as_float(entry["mean_down_s"], path + "mean_down_s"),
-                    start_available_prob=_as_float(
-                        entry["start_available_prob"], path + "start_available_prob"
-                    ),
-                    weight=_as_float(entry.get("weight", 1.0), path + "weight"),
-                )
-            )
-        syn_cfg.classes = tuple(classes)
-    cfg.synthetic = syn_cfg
-    if cfg.source == "file":
-        _require(cfg.trace_file is not None, "scenario.trace_file is required when source=file")
-    return cfg
-
-
-def _build_population_cfg(data: dict) -> PopulationCfg:
-    _reject_unknown(
-        data, ("num_clients", "capability_source", "capability_file", "synthetic"), "population."
-    )
-    cfg = PopulationCfg()
-    if "num_clients" in data:
-        cfg.num_clients = _as_int(data["num_clients"], "population.num_clients")
-        _require(cfg.num_clients >= 1, f"population.num_clients must be >= 1, got {cfg.num_clients}")
-    if "capability_source" in data:
-        cfg.capability_source = _as_str(
-            data["capability_source"], "population.capability_source", ("synthetic", "file")
-        )
-    if "capability_file" in data and data["capability_file"] is not None:
-        cfg.capability_file = _as_str(data["capability_file"], "population.capability_file")
-    syn = _section(data, "synthetic")
-    _reject_unknown(syn, ("time_per_sample_s", "down_bw_Bps", "up_bw_Bps"), "population.synthetic.")
-    bounds = {}
-    for name in ("time_per_sample_s", "down_bw_Bps", "up_bw_Bps"):
-        if name in syn:
-            bounds[name] = _as_pair(syn[name], f"population.synthetic.{name}")
-    cfg.synthetic = CapabilityBounds(**bounds)
-    if cfg.capability_source == "file":
-        _require(
-            cfg.capability_file is not None,
-            "population.capability_file is required when capability_source=file",
-        )
-    return cfg
-
-
-def _build_round_cfg(data: dict) -> RoundCfg:
-    _reject_unknown(
-        data,
-        ("clients_per_round", "num_rounds", "timeout_s", "eval_every", "strict_availability_failures"),
-        "round.",
-    )
-    cfg = RoundCfg()
-    if "clients_per_round" in data:
-        cfg.clients_per_round = _as_int(data["clients_per_round"], "round.clients_per_round")
-        _require(cfg.clients_per_round >= 1, "round.clients_per_round must be >= 1")
-    if "num_rounds" in data:
-        cfg.num_rounds = _as_int(data["num_rounds"], "round.num_rounds")
-        _require(cfg.num_rounds >= 0, "round.num_rounds must be >= 0")
-    if "timeout_s" in data:
-        cfg.timeout_s = _as_float(data["timeout_s"], "round.timeout_s")
-        _require(cfg.timeout_s > 0, "round.timeout_s must be > 0")
-    if "eval_every" in data:
-        cfg.eval_every = _as_int(data["eval_every"], "round.eval_every")
-        _require(cfg.eval_every >= 1, "round.eval_every must be >= 1")
-    if "strict_availability_failures" in data:
-        cfg.strict_availability_failures = _as_bool(
-            data["strict_availability_failures"], "round.strict_availability_failures"
-        )
-    return cfg
-
-
-def _build_task_cfg(data: dict) -> TaskCfg:
-    fields = (
-        "num_samples", "features_d", "classes_k", "alpha", "lr",
-        "epochs", "batch_size", "seed", "class_sep",
-    )
-    _reject_unknown(data, fields, "task.")
-    cfg = TaskCfg()
-    for name in ("num_samples", "features_d", "classes_k", "epochs", "batch_size", "seed"):
-        if name in data:
-            setattr(cfg, name, _as_int(data[name], f"task.{name}"))
-    for name in ("alpha", "lr", "class_sep"):
-        if name in data:
-            setattr(cfg, name, _as_float(data[name], f"task.{name}"))
-    _require(cfg.classes_k >= 2, f"task.classes_k must be >= 2, got {cfg.classes_k}")
-    _require(cfg.features_d >= 1, f"task.features_d must be >= 1, got {cfg.features_d}")
-    _require(
-        cfg.num_samples >= 5 * cfg.classes_k,
-        f"task.num_samples must be >= {5 * cfg.classes_k} for {cfg.classes_k} classes",
-    )
-    _require(cfg.alpha > 0, f"task.alpha must be > 0, got {cfg.alpha}")
-    _require(cfg.lr >= 0, f"task.lr must be >= 0, got {cfg.lr}")
-    _require(cfg.epochs >= 1, f"task.epochs must be >= 1, got {cfg.epochs}")
-    _require(cfg.batch_size >= 1, f"task.batch_size must be >= 1, got {cfg.batch_size}")
-    _require(cfg.seed >= 0, f"task.seed must be >= 0, got {cfg.seed}")
-    _require(cfg.class_sep >= 0, f"task.class_sep must be >= 0, got {cfg.class_sep}")
-    return cfg
-
-
-def _build_selector_cfg(data: dict) -> SelectorCfg:
-    _reject_unknown(data, ("kind", "mda", "fedcs", "tifl"), "selector.")
-    cfg = SelectorCfg()
-    if "kind" in data:
-        cfg.kind = _as_str(data["kind"], "selector.kind", SELECTOR_KINDS)
-    mda = _section(data, "mda")
-    _reject_unknown(mda, ("memory_length", "default_weight"), "selector.mda.")
     kwargs = {}
-    if "memory_length" in mda:
-        kwargs["memory_length"] = _as_int(mda["memory_length"], "selector.mda.memory_length")
-    if "default_weight" in mda:
-        kwargs["default_weight"] = _as_float(mda["default_weight"], "selector.mda.default_weight")
-    cfg.mda = MdaConfig(**kwargs)
-    fedcs = _section(data, "fedcs")
-    _reject_unknown(fedcs, ("threshold_s", "order"), "selector.fedcs.")
-    kwargs = {}
-    if "threshold_s" in fedcs:
-        kwargs["threshold_s"] = _as_float(fedcs["threshold_s"], "selector.fedcs.threshold_s")
-    if "order" in fedcs:
-        kwargs["order"] = _as_str(fedcs["order"], "selector.fedcs.order")
-    cfg.fedcs = FedcsConfig(**kwargs)
-    tifl = _section(data, "tifl")
-    _reject_unknown(tifl, ("num_tiers", "ratio"), "selector.tifl.")
-    kwargs = {}
-    if "num_tiers" in tifl:
-        kwargs["num_tiers"] = _as_int(tifl["num_tiers"], "selector.tifl.num_tiers")
-    if "ratio" in tifl:
-        kwargs["ratio"] = _as_float(tifl["ratio"], "selector.tifl.ratio")
-    cfg.tifl = TiflConfig(**kwargs)
-    return cfg
-
-
-def _build_seeds_cfg(data: dict) -> SeedsCfg:
-    _reject_unknown(data, ("scenario_seed", "partition_seed", "run_seeds"), "seeds.")
-    cfg = SeedsCfg()
-    if "scenario_seed" in data:
-        cfg.scenario_seed = _as_int(data["scenario_seed"], "seeds.scenario_seed")
-    if "partition_seed" in data:
-        cfg.partition_seed = _as_int(data["partition_seed"], "seeds.partition_seed")
-    if "run_seeds" in data:
-        raw = data["run_seeds"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("seeds.run_seeds must be a non-empty list of integers")
-        cfg.run_seeds = tuple(_as_int(v, "seeds.run_seeds") for v in raw)
-    for name in ("scenario_seed", "partition_seed"):
-        _require(getattr(cfg, name) >= 0, f"seeds.{name} must be >= 0")
-    _require(all(s >= 0 for s in cfg.run_seeds), "seeds.run_seeds entries must be >= 0")
-    return cfg
-
-
-def _build_output_cfg(data: dict) -> OutputCfg:
-    _reject_unknown(data, ("directory", "formats"), "output.")
-    cfg = OutputCfg()
-    if "directory" in data:
-        cfg.directory = _as_str(data["directory"], "output.directory")
-    if "formats" in data:
-        raw = data["formats"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("output.formats must be a non-empty list")
-        formats = tuple(_as_str(v, "output.formats", OUTPUT_FORMATS) for v in raw)
-        cfg.formats = formats
-    return cfg
+    for name, (hint, has_default) in fields.items():
+        if name not in data:
+            _require(has_default, f"{prefix}{name} is required")
+        elif data[name] is not None or not _null_takes_default(hint):
+            kwargs[name] = _value(hint, data[name], prefix + name)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        # The dataclass names the field; this adds the section's key path.
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -383,18 +263,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    _reject_unknown(
-        data, ("scenario", "population", "round", "task", "selector", "seeds", "output"), ""
-    )
-    cfg = ExperimentConfig(
-        scenario=_build_scenario_cfg(_section(data, "scenario")),
-        population=_build_population_cfg(_section(data, "population")),
-        round=_build_round_cfg(_section(data, "round")),
-        task=_build_task_cfg(_section(data, "task")),
-        selector=_build_selector_cfg(_section(data, "selector")),
-        seeds=_build_seeds_cfg(_section(data, "seeds")),
-        output=_build_output_cfg(_section(data, "output")),
-    )
+    cfg = _build(ExperimentConfig, data, "")
     _require(
         cfg.population.num_clients >= cfg.round.clients_per_round,
         f"population.num_clients ({cfg.population.num_clients}) must be >= "

@@ -50,7 +50,10 @@ class CapabilityBounds:
 
     def __post_init__(self):
         for name in ("time_per_sample_s", "down_bw_Bps", "up_bw_Bps"):
-            lo, hi = getattr(self, name)
+            pair = getattr(self, name)
+            if len(pair) != 2:
+                raise ConfigError(f"{name}: expected [lo, hi], got {pair!r}")
+            lo, hi = pair
             if lo <= 0 or hi < lo:
                 raise ConfigError(f"{name} bounds must satisfy 0 < lo <= hi, got ({lo}, {hi})")
 

@@ -19,7 +19,6 @@ from .errors import ConfigError, SimulationError
 from .selectors import SelectorState, make_selector, update_history
 from .traces import (
     AvailabilityTrace,
-    ScenarioSpec,
     build_scenario,
     generate_pool,
     is_available,
@@ -183,8 +182,9 @@ def build_world(cfg: ExperimentConfig) -> World:
         pool = synthetic_pool(cfg)
 
     ranked = [pool[i] for i in rank_traces(pool)]
-    spec = ScenarioSpec(cfg.scenario.kind, num_clients, cfg.scenario.mix)
-    assigned = build_scenario(ranked, spec, seed_assign)
+    assigned = build_scenario(
+        ranked, cfg.scenario.kind, num_clients, cfg.scenario.mix, seed_assign
+    )
 
     if cfg.population.capability_source == "file":
         profiles = parse_capability_file(

@@ -27,9 +27,9 @@ class MdaConfig:
 
     def __post_init__(self):
         if self.memory_length < 2:
-            raise ConfigError(f"mda.memory_length must be >= 2, got {self.memory_length}")
+            raise ConfigError(f"memory_length must be >= 2, got {self.memory_length}")
         if not 0.0 < self.default_weight <= 1.0:
-            raise ConfigError(f"mda default_weight must be in (0, 1], got {self.default_weight}")
+            raise ConfigError(f"default_weight must be in (0, 1], got {self.default_weight}")
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,9 @@ class FedcsConfig:
 
     def __post_init__(self):
         if self.threshold_s <= 0:
-            raise ConfigError(f"fedcs.threshold_s must be > 0, got {self.threshold_s}")
+            raise ConfigError(f"threshold_s must be > 0, got {self.threshold_s}")
         if self.order not in FEDCS_ORDERS:
-            raise ConfigError(f"fedcs.order must be one of {FEDCS_ORDERS}, got {self.order!r}")
+            raise ConfigError(f"order: expected one of {FEDCS_ORDERS}, got {self.order!r}")
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,9 @@ class TiflConfig:
 
     def __post_init__(self):
         if self.num_tiers < 1:
-            raise ConfigError(f"tifl.num_tiers must be >= 1, got {self.num_tiers}")
+            raise ConfigError(f"num_tiers must be >= 1, got {self.num_tiers}")
         if self.ratio <= 0:
-            raise ConfigError(f"tifl.ratio must be > 0, got {self.ratio}")
+            raise ConfigError(f"ratio must be > 0, got {self.ratio}")
 
 
 class SelectorState:

@@ -12,6 +12,7 @@ from .errors import ConfigError, ParseError
 
 SECONDS_PER_HOUR = 3600.0
 
+# In the order of the pool blocks that build_scenario draws its majority from.
 SCENARIO_KINDS = ("low", "average", "high")
 
 
@@ -45,25 +46,6 @@ class TraceStats:
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
-    """Which availability mix to build and for how many clients."""
-
-    kind: str                   # one of SCENARIO_KINDS
-    num_clients: int
-    mix: tuple[float, float, float] = (0.6, 0.2, 0.2)
-
-    def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
-            raise ConfigError(f"scenario kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
-        if self.num_clients < 1:
-            raise ConfigError(f"num_clients must be >= 1, got {self.num_clients}")
-        if len(self.mix) != 3 or any(f < 0 for f in self.mix):
-            raise ConfigError(f"mix must be three non-negative fractions, got {self.mix}")
-        if abs(sum(self.mix) - 1.0) > 1e-9:
-            raise ConfigError(f"mix fractions must sum to 1, got {self.mix}")
-
-
-@dataclass(frozen=True)
 class TraceClassParams:
     """Generator knobs for one synthetic population of traces."""
 
@@ -79,7 +61,7 @@ class TraceClassParams:
         if not 0.0 <= self.start_available_prob <= 1.0:
             raise ConfigError("start_available_prob must be in [0, 1]")
         if self.weight < 0:
-            raise ConfigError("class weight must be >= 0")
+            raise ConfigError("weight must be >= 0")
 
 
 def is_available(trace: AvailabilityTrace, t: float) -> bool:
@@ -128,28 +110,34 @@ def _blocks(n: int) -> list[tuple[int, int]]:
 
 
 def build_scenario(
-    ranked: list[AvailabilityTrace], spec: ScenarioSpec, rng_seed: int
+    ranked: list[AvailabilityTrace],
+    kind: str,
+    num_clients: int,
+    mix: tuple[float, ...],
+    rng_seed: int,
 ) -> list[AvailabilityTrace]:
     """Draw per-client traces from the worst/middle/best thirds of a ranked pool.
 
     The major mix share comes from the first block for "low", the middle block for
-    "average", the last block for "high". Counts: major = round(f * n); the rest is
+    "average", the last block for "high". Counts: major = round(f * num_clients); the rest is
     split across the two minor blocks in proportion to their fractions (evenly when
     equal), integer remainder going to the later block. Draws are uniform without
-    replacement inside each block.
+    replacement inside each block. kind, num_clients and mix come from an
+    already validated `config.ScenarioCfg`.
     """
-    n = spec.num_clients
-    if len(ranked) < n:
-        raise ConfigError(f"scenario needs {n} traces but only {len(ranked)} are available")
+    if len(ranked) < num_clients:
+        raise ConfigError(
+            f"scenario needs {num_clients} traces but only {len(ranked)} are available"
+        )
 
-    major_block = {"low": 0, "average": 1, "high": 2}[spec.kind]
+    major_block = SCENARIO_KINDS.index(kind)
     minor_blocks = [b for b in range(3) if b != major_block]
-    f_major = spec.mix[0]
-    f_minors = spec.mix[1:]
+    f_major = mix[0]
+    f_minors = mix[1:]
 
     counts = [0, 0, 0]
-    counts[major_block] = round(f_major * n)
-    remaining = n - counts[major_block]
+    counts[major_block] = round(f_major * num_clients)
+    remaining = num_clients - counts[major_block]
     minor_total = f_minors[0] + f_minors[1]
     if minor_total > 0:
         first_share = int(remaining * f_minors[0] / minor_total)

@@ -250,7 +250,7 @@ def _class_list(rnd):
 
 def _seed_list(rnd):
     if rnd.random() < 0.15:
-        return rnd.choice(([], (1, 2), [1, -2], [1.0], ["1"], [True], 4))
+        return rnd.choice(([], (1, 2), [1, -2], [0, -1], [1.0], ["1"], [True], 4))
     return [rnd.randint(0, 9) for _ in range(rnd.randint(1, 4))]
 
 
@@ -349,9 +349,13 @@ def random_config(rnd, schema=SCHEMA):
 
 def _outcome(load, data):
     try:
-        return repr(load(data).to_dict())
-    except ConfigError:
-        return "rejected"
+        return repr(load(data).to_dict()), None
+    except ConfigError as exc:
+        return "rejected", str(exc)
+
+
+# A rejection is one line that starts with the key path it is about.
+PATH_FIRST = re.compile(r"('[^'\n]*'|scenario|population|round|task|selector|seeds|output)[.:\[ ]")
 
 
 def test_config_loader_matches_the_parent_loader():
@@ -359,9 +363,11 @@ def test_config_loader_matches_the_parent_loader():
     counts = {"accepted": 0, "rejected": 0}
     for _ in range(20_000):
         data = random_config(rnd)
-        expected = _outcome(oracles.parent_config_from_dict, data)
-        assert _outcome(config_from_dict, data) == expected, data
-        counts["rejected" if expected == "rejected" else "accepted"] += 1
+        expected, _ = _outcome(oracles.parent_config_from_dict, data)
+        got, message = _outcome(config_from_dict, data)
+        assert got == expected, data
+        assert message is None or (PATH_FIRST.match(message) and "\n" not in message), message
+        counts["rejected" if message else "accepted"] += 1
     assert min(counts.values()) >= 2_000, counts
 
 

@@ -11,7 +11,6 @@ from fedselsim.config import DEFAULT_TRACE_CLASSES
 from fedselsim.errors import ConfigError, ParseError
 from fedselsim.traces import (
     AvailabilityTrace,
-    ScenarioSpec,
     TraceClassParams,
     build_scenario,
     generate_pool,
@@ -177,8 +176,7 @@ def block_of(trace, pool_size):
 def scenario_block_counts(kind, num_clients, pool_size=300, seed=0, mix=(0.6, 0.2, 0.2)):
     pool = ranked_pool(pool_size)
     assert rank_traces(pool) == list(range(pool_size))
-    spec = ScenarioSpec(kind, num_clients, mix)
-    assigned = build_scenario(pool, spec, seed)
+    assigned = build_scenario(pool, kind, num_clients, mix, seed)
     assert len(assigned) == num_clients
     counts = [0, 0, 0]
     for trace in assigned:
@@ -207,32 +205,22 @@ def test_build_scenario_odd_count_remainder_to_later_block():
 
 def test_build_scenario_draws_without_replacement():
     pool = ranked_pool(300)
-    spec = ScenarioSpec("low", 90)
-    assigned = build_scenario(pool, spec, 3)
+    assigned = build_scenario(pool, "low", 90, (0.6, 0.2, 0.2), 3)
     fractions = [trace_stats(t).available_fraction for t in assigned]
     assert len(set(fractions)) == len(fractions)
 
 
 def test_build_scenario_deterministic():
     pool = ranked_pool(120)
-    spec = ScenarioSpec("average", 30)
-    assert build_scenario(pool, spec, 42) == build_scenario(pool, spec, 42)
-    assert build_scenario(pool, spec, 42) != build_scenario(pool, spec, 43)
+    spec = ("average", 30, (0.6, 0.2, 0.2))
+    assert build_scenario(pool, *spec, 42) == build_scenario(pool, *spec, 42)
+    assert build_scenario(pool, *spec, 42) != build_scenario(pool, *spec, 43)
 
 
 def test_build_scenario_insufficient_traces():
     pool = ranked_pool(9)
     with pytest.raises(ConfigError, match=r"10.*9|9.*10"):
-        build_scenario(pool, ScenarioSpec("low", 10), 0)
-
-
-def test_scenario_spec_validation():
-    with pytest.raises(ConfigError):
-        ScenarioSpec("worst", 10)
-    with pytest.raises(ConfigError):
-        ScenarioSpec("low", 0)
-    with pytest.raises(ConfigError):
-        ScenarioSpec("low", 10, (0.5, 0.2, 0.2))
+        build_scenario(pool, "low", 10, (0.6, 0.2, 0.2), 0)
 
 
 # -------------------------------------------------------------- generate_trace
