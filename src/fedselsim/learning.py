@@ -165,6 +165,8 @@ def local_train(
     if n == 0:
         log.debug("local_train on an empty shard: zero delta")
         return np.zeros_like(global_params)
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= classes_k:
+        raise ValueError(f"labels must lie in [0, {classes_k}), got {labels.min()}..{labels.max()}")
     params = global_params.copy()
     grad = np.empty_like(params)
     w, b = _unpack(params, classes_k, features.shape[1])
@@ -191,13 +193,12 @@ def local_train(
     return params
 
 
-def fedavg(deltas: list[np.ndarray]) -> np.ndarray | None:
-    """Unweighted element-wise mean of client deltas; None means no update."""
-    if not deltas:
-        return None
-    length = len(deltas[0])
-    if any(len(d) != length for d in deltas):
-        raise ValueError("deltas must all have the same length")
+def fedavg(deltas: list[np.ndarray]) -> np.ndarray:
+    """Unweighted element-wise mean of client deltas.
+
+    np.stack raises ValueError unless there is at least one delta and all
+    have one shape.
+    """
     return np.mean(np.stack(deltas), axis=0)
 
 

@@ -68,9 +68,6 @@ class SelectorState:
       order update_history received them, so each client's events run in
       ascending round order;
     - round_start_times: simulated clock value at the start of each round begun.
-
-    from_history builds a state from per-client lists; client_availability and
-    client_failures read one client's history back.
     """
 
     def __init__(self, num_clients: int):
@@ -83,46 +80,10 @@ class SelectorState:
         self._fail_rounds = np.zeros(16, dtype=np.int64)
         self._num_failures = 0
 
-    @classmethod
-    def from_history(
-        cls, per_client: Sequence[tuple[Sequence[bool], Sequence[int]]], starts: Sequence[float]
-    ) -> SelectorState:
-        """A state holding per_client[c] = (availability per round, failed rounds).
-
-        The history is replayed through update_history, so it obeys the same
-        rules: one availability entry per round start, and failures only at
-        earlier rounds at which the client was available.
-        """
-        failed_at: dict[int, list[int]] = {}
-        for c, (hist, fails) in enumerate(per_client):
-            if len(hist) != len(starts):
-                raise ValueError(
-                    f"client {c} has {len(hist)} availability entries for {len(starts)} rounds"
-                )
-            for i in fails:
-                failed_at.setdefault(int(i), []).append(c)
-        if any(i >= len(starts) - 1 for i in failed_at):
-            raise ValueError("failures can only be recorded at rounds before the current one")
-        state = cls(len(per_client))
-        for r, now in enumerate(starts):
-            update_history(
-                state, r, now, [hist[r] for hist, _ in per_client], failed_at.get(r - 1, [])
-            )
-        return state
-
     @property
     def current_round(self) -> int:
         """Index of the round most recently begun; -1 before any history exists."""
         return len(self.round_start_times) - 1
-
-    def client_availability(self, c: int) -> list[bool]:
-        """Whether client c was available at the start of each round begun."""
-        return [bool(row[c]) for row in self._rows]
-
-    def client_failures(self, c: int) -> list[int]:
-        """Round indices at which client c was selected and then failed."""
-        n = self._num_failures
-        return self._fail_rounds[:n][self._fail_clients[:n] == c].tolist()
 
     def available_clients(self, round_index: int) -> list[int]:
         """Ascending indices of the clients available when round round_index began."""
@@ -171,6 +132,14 @@ def update_history(
 
 
 def _raw_weights(state: SelectorState, candidates: Sequence[int], cfg: MdaConfig) -> np.ndarray:
+    """Pre-normalization MDA weights: windowed availability x failure recency penalty.
+
+    The availability factor is the fraction of elapsed time over the last m
+    recorded rounds during which the client stayed available (default 0.5 until
+    m rounds of history exist). A failure at round i costs 1/(r - i) against the
+    worst case sum over all completed rounds, so recent failures weigh most and
+    a client that failed every round so far gets weight 0.
+    """
     # Every sum below adds left to right, as a plain Python loop does, so the
     # weights equal those of the list-based reference in tests/oracles.py bit
     # for bit (np.sum's pairwise order would change the low bits).
@@ -199,18 +168,6 @@ def _raw_weights(state: SelectorState, candidates: Sequence[int], cfg: MdaConfig
         max_pen = np.cumsum(1.0 / (r - np.arange(r)))[-1]
         raw = raw * (1.0 - pen[cands] / max_pen)
     return raw
-
-
-def mda_raw_weight(state: SelectorState, c: int, cfg: MdaConfig) -> float:
-    """Pre-normalization MDA weight: windowed availability x failure recency penalty.
-
-    The availability factor is the fraction of elapsed time over the last m
-    recorded rounds during which the client stayed available (default 0.5 until
-    m rounds of history exist). A failure at round i costs 1/(r - i) against the
-    worst case sum over all completed rounds, so recent failures weigh most and
-    a client that failed every round so far gets weight 0.
-    """
-    return float(_raw_weights(state, [c], cfg)[0])
 
 
 def mda_weights(state: SelectorState, candidates: Sequence[int], cfg: MdaConfig) -> list[float]:

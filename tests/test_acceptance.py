@@ -26,14 +26,13 @@ from fedselsim.engine import (
 )
 from fedselsim.selectors import (
     MdaConfig,
-    SelectorState,
     assign_tiers,
-    mda_raw_weight,
     mda_weights,
     select_tifl,
     tier_probabilities,
 )
 from fedselsim.traces import AvailabilityTrace, serialize_trace_file
+from selector_history import mda_raw_weight, state_from_history
 
 SEEDS = [1, 2, 3, 4, 5]
 SELECTORS = ["random", "fedcs", "tifl", "mda", "tifl_mda"]
@@ -102,10 +101,6 @@ def verdict(capsys, num, ok, detail):
     assert ok, f"criterion {num:02d}: {detail}"
 
 
-def state_from(per_client, starts):
-    return SelectorState.from_history(per_client, starts)
-
-
 def metric(reports, key):
     return [report.metrics[key] for report in reports]
 
@@ -116,12 +111,12 @@ def test_criterion_01_mda_weight_oracle(capsys):
     for _ in range(1000):
         per_client, starts, m = oracles.random_mda_instance(rng)
         cfg = MdaConfig(memory_length=m)
-        state = state_from([(h, f) for h, f, _ in per_client], starts)
+        state = state_from_history([(h, f) for h, f, _ in per_client], starts)
         expected = oracles.mda_weights(per_client, m, cfg.default_weight)
         got = mda_weights(state, list(range(len(per_client))), cfg)
         worst = max(worst, max(abs(a - b) for a, b in zip(got, expected)))
     # short history, one failure two rounds back of three: penalty factor 8/11
-    state = state_from([([True] * 4, [1])], [0.0, 10.0, 20.0, 30.0])
+    state = state_from_history([([True] * 4, [1])], [0.0, 10.0, 20.0, 30.0])
     raw = mda_raw_weight(state, 0, MdaConfig(memory_length=10, default_weight=0.5))
     example_dev = abs(raw - 0.5 * (8.0 / 11.0))
     ok = worst <= 1e-12 and example_dev <= 1e-12

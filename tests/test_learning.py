@@ -229,6 +229,11 @@ def test_local_train_validation():
             learning.local_train(params, bad, y, 2, 1, 4, 0.1, 0)
     with pytest.raises(ValueError, match="features"):  # an empty shard is still checked
         learning.local_train(params, X, np.zeros(0, dtype=int), 2, 1, 4, 0.1, 0)
+    # labels must lie in [0, classes_k): -1 trained silently as k - 1, and k
+    # failed with an IndexError from the one-hot gather
+    for bad in ([-1, 0], [0, 2]):
+        with pytest.raises(ValueError, match="labels"):
+            learning.local_train(params, X, np.array(bad), 2, 1, 4, 0.1, 0)
 
 
 # ---------------------------------------------------------------------- fedavg
@@ -262,7 +267,8 @@ def test_fedavg_is_exactly_the_mean():
 
 
 def test_fedavg_empty_and_mismatched():
-    assert learning.fedavg([]) is None
+    with pytest.raises(ValueError):
+        learning.fedavg([])
     with pytest.raises(ValueError):
         learning.fedavg([np.zeros(3), np.zeros(4)])
 

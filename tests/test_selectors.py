@@ -12,7 +12,6 @@ from fedselsim.selectors import (
     TiflConfig,
     assign_tiers,
     make_selector,
-    mda_raw_weight,
     mda_weights,
     select_fedcs,
     select_mda,
@@ -23,16 +22,17 @@ from fedselsim.selectors import (
     update_history,
     weighted_sample_without_replacement,
 )
-
-
-def state_from(per_client, starts):
-    """Build SelectorState directly from (avail_hist, failures) pairs."""
-    return SelectorState.from_history(per_client, starts)
+from selector_history import (
+    client_availability,
+    client_failures,
+    mda_raw_weight,
+    state_from_history,
+)
 
 
 def all_on_state(num_clients, rounds, spacing=10.0):
     starts = [i * spacing for i in range(rounds)]
-    return state_from([([True] * rounds, []) for _ in range(num_clients)], starts)
+    return state_from_history([([True] * rounds, []) for _ in range(num_clients)], starts)
 
 
 # -------------------------------------------------------------- update_history
@@ -40,9 +40,9 @@ def all_on_state(num_clients, rounds, spacing=10.0):
 def test_update_history_round_zero():
     state = SelectorState(3)
     update_history(state, 0, 0.0, [True, False, True], [])
-    assert all(len(state.client_availability(c)) == 1 for c in range(3))
-    assert state.client_availability(1) == [False]
-    assert all(state.client_failures(c) == [] for c in range(3))
+    assert all(len(client_availability(state, c)) == 1 for c in range(3))
+    assert client_availability(state, 1) == [False]
+    assert all(client_failures(state, c) == [] for c in range(3))
     assert state.round_start_times == [0.0]
     assert state.current_round == 0
 
@@ -53,9 +53,9 @@ def test_update_history_appends_failure_as_previous_round():
         update_history(state, r, r * 10.0, [True, True], [])
     # client 0 failed round 4; reported when round 5 begins
     update_history(state, 5, 50.0, [True, True], [0])
-    assert state.client_failures(0) == [4]
-    assert state.client_failures(1) == []
-    assert len(state.client_availability(0)) == 6
+    assert client_failures(state, 0) == [4]
+    assert client_failures(state, 1) == []
+    assert len(client_availability(state, 0)) == 6
 
 
 def test_update_history_guards():
@@ -101,14 +101,14 @@ def test_mda_all_available_window_is_one():
 def test_mda_worked_example_eight_elevenths():
     # r=3, F=[1], full availability: maxPen = 1/3+1/2+1 = 11/6, pen = 1/2
     cfg = MdaConfig(memory_length=4)
-    state = state_from([([True] * 4, [1])], [0.0, 10.0, 20.0, 30.0])
+    state = state_from_history([([True] * 4, [1])], [0.0, 10.0, 20.0, 30.0])
     assert mda_raw_weight(state, 0, cfg) == pytest.approx(8 / 11, abs=1e-12)
 
 
 def test_mda_interval_needs_both_endpoints():
     # m=3, starts 0/100/250, A=[T,F,T]: neither interval counts -> factor 0
     cfg = MdaConfig(memory_length=3)
-    state = state_from([([True, False, True], [])], [0.0, 100.0, 250.0])
+    state = state_from_history([([True, False, True], [])], [0.0, 100.0, 250.0])
     assert mda_raw_weight(state, 0, cfg) == 0.0
 
 
@@ -124,7 +124,7 @@ def test_mda_weights_normalization_and_range():
     cfg_cache = {}
     for _ in range(200):
         per_client, starts, m = oracles.random_mda_instance(rng)
-        state = state_from([(h, f) for h, f, _ in per_client], starts)
+        state = state_from_history([(h, f) for h, f, _ in per_client], starts)
         cfg = cfg_cache.setdefault(m, MdaConfig(memory_length=m))
         weights = mda_weights(state, list(range(len(per_client))), cfg)
         assert sum(weights) == pytest.approx(1.0, abs=1e-9)
@@ -135,7 +135,7 @@ def test_mda_weights_match_brute_force_oracle():
     rng = np.random.default_rng(404)
     for _ in range(1000):
         per_client, starts, m = oracles.random_mda_instance(rng)
-        state = state_from([(h, f) for h, f, _ in per_client], starts)
+        state = state_from_history([(h, f) for h, f, _ in per_client], starts)
         cfg = MdaConfig(memory_length=m)
         ours = mda_weights(state, list(range(len(per_client))), cfg)
         ref = oracles.mda_weights(per_client, m, cfg.default_weight)
@@ -146,7 +146,7 @@ def test_mda_penalty_bounded():
     rng = np.random.default_rng(505)
     for _ in range(300):
         per_client, starts, m = oracles.random_mda_instance(rng, num_clients=1)
-        state = state_from([(h, f) for h, f, _ in per_client], starts)
+        state = state_from_history([(h, f) for h, f, _ in per_client], starts)
         raw = mda_raw_weight(state, 0, MdaConfig(memory_length=m))
         assert 0.0 <= raw <= 1.0
 
@@ -154,11 +154,11 @@ def test_mda_penalty_bounded():
 def test_mda_recency_monotonicity():
     cfg = MdaConfig(memory_length=4)
     starts = [float(i * 10) for i in range(9)]  # current round r = 8
-    base = state_from([([True] * 9, [])], starts)
+    base = state_from_history([([True] * 9, [])], starts)
     clean = mda_raw_weight(base, 0, cfg)
     previous = clean
     for i in range(8):
-        failed = state_from([([True] * 9, [i])], starts)
+        failed = state_from_history([([True] * 9, [i])], starts)
         w = mda_raw_weight(failed, 0, cfg)
         assert w <= clean  # adding a failure never helps
         assert w <= previous + 1e-15  # ...and a more recent one hurts at least as much
@@ -169,7 +169,7 @@ def test_mda_recency_monotonicity():
 def test_mda_all_zero_falls_back_to_uniform():
     cfg = MdaConfig(memory_length=3)
     # both candidates flapped through the whole window -> raw weights all zero
-    state = state_from(
+    state = state_from_history(
         [([True, False, True], []), ([True, False, True], [])],
         [0.0, 100.0, 250.0],
     )
@@ -265,7 +265,7 @@ def random_instances(seed, count, num_clients=None):
 @pytest.mark.parametrize("seed, count, num_clients", [(606, 1000, None), (607, 100, 40)])
 def test_mda_weights_equal_list_loops_exactly(seed, count, num_clients):
     for per_client, starts, cfg, candidates in random_instances(seed, count, num_clients):
-        state = SelectorState.from_history(per_client, starts)
+        state = state_from_history(per_client, starts)
         ref = oracles.ListState(per_client, starts)
         for c in range(len(per_client)):
             assert mda_raw_weight(state, c, cfg) == oracles.loop_mda_raw_weight(ref, c, cfg)
@@ -284,7 +284,7 @@ def test_weighted_sample_equals_list_loop_exactly(seed, count, num_clients):
     rng = np.random.default_rng(seed + 100)
     instances = random_instances(seed, count, num_clients)
     for i, (per_client, starts, cfg, candidates) in enumerate(instances):
-        weights = mda_weights(SelectorState.from_history(per_client, starts), candidates, cfg)
+        weights = mda_weights(state_from_history(per_client, starts), candidates, cfg)
         assert_same_draw(candidates, weights, int(rng.integers(1, len(candidates) + 3)), i)
 
 
@@ -327,20 +327,20 @@ def test_weighted_sample_round_off_falls_back_like_list_loop():
 
 def test_from_history_round_trips_and_guards():
     per_client = [([True, True, False, True], [0, 1]), ([False, True, True, True], [2])]
-    state = SelectorState.from_history(per_client, [0.0, 5.0, 9.0, 20.0])
+    state = state_from_history(per_client, [0.0, 5.0, 9.0, 20.0])
     assert state.current_round == 3
     assert state.round_start_times == [0.0, 5.0, 9.0, 20.0]
     for c, (hist, fails) in enumerate(per_client):
-        assert state.client_availability(c) == hist
-        assert state.client_failures(c) == fails
+        assert client_availability(state, c) == hist
+        assert client_failures(state, c) == fails
     assert state.available_clients(0) == [0]
     assert state.available_clients(3) == [0, 1]
     with pytest.raises(ValueError):  # history shorter than the round count
-        SelectorState.from_history([([True], [])], [0.0, 1.0])
+        state_from_history([([True], [])], [0.0, 1.0])
     with pytest.raises(ValueError):  # failure at the current round
-        SelectorState.from_history([([True, True], [1])], [0.0, 1.0])
+        state_from_history([([True, True], [1])], [0.0, 1.0])
     with pytest.raises(ValueError):  # failure while unavailable
-        SelectorState.from_history([([False, True], [0])], [0.0, 1.0])
+        state_from_history([([False, True], [0])], [0.0, 1.0])
 
 
 # --------------------------------------------------------------- select_random
