@@ -194,6 +194,7 @@ def _fields(cls) -> dict[str, tuple[object, bool]]:
 
 
 def _null_takes_default(hint) -> bool:
+    """Whether null means the default: for optional keys, sections and lists of sections."""
     args = typing.get_args(hint)
     return (
         type(None) in args
