@@ -8,7 +8,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import SELECTOR_KINDS, load_config
 from .engine import (
     METRIC_ROWS,
     Comparison,
@@ -19,7 +19,6 @@ from .engine import (
     synthetic_pool,
 )
 from .errors import ConfigError, SimulationError
-from .selectors import SELECTOR_KINDS
 from .traces import serialize_trace_file
 
 # Summary rows that also get an across-seed spread row in the comparison CSV

@@ -1,9 +1,10 @@
 """Experiment configuration: YAML loading, defaults, strict schema validation.
 
-Each config dataclass checks its own ranges and choices in `__post_init__`,
-in messages that begin with the field's name. `config_from_dict` builds the
-dataclasses field by field from a parsed mapping, puts the section's key path
-in front of those messages, and adds the checks that span sections.
+Every config section is a dataclass defined here, and each checks its own
+ranges and choices in `__post_init__`, in messages that begin with the field's
+name. `config_from_dict` builds the dataclasses field by field from a parsed
+mapping, takes float keys only as finite numbers, puts the section's key path
+in front of the dataclasses' messages, and adds the checks that span sections.
 """
 
 from __future__ import annotations
@@ -18,19 +19,13 @@ from pathlib import Path
 
 import yaml
 
-from .cost import CapabilityBounds
 from .errors import ConfigError
 from .learning import train_split_size
-from .selectors import SELECTOR_KINDS, FedcsConfig, MdaConfig, TiflConfig
-from .traces import SCENARIO_KINDS, TraceClassParams
 
-# Mixed availability population: roughly 30% / 67% / 96% available.
-DEFAULT_TRACE_CLASSES = (
-    TraceClassParams(mean_up_s=90.0, mean_down_s=210.0, start_available_prob=0.3),
-    TraceClassParams(mean_up_s=600.0, mean_down_s=300.0, start_available_prob=0.67),
-    TraceClassParams(mean_up_s=4000.0, mean_down_s=150.0, start_available_prob=0.96),
-)
-
+SELECTOR_KINDS = ("random", "fedcs", "tifl", "mda", "tifl_mda")
+FEDCS_ORDERS = ("filter_first", "sample_first")
+# traces.build_scenario depends on this order: kind i draws its majority from pool block i.
+SCENARIO_KINDS = ("low", "average", "high")
 SOURCES = ("synthetic", "file")
 OUTPUT_FORMATS = ("json", "csv")
 
@@ -44,18 +39,87 @@ def _one_of(name: str, value, choices: tuple[str, ...]) -> None:
     _require(value in choices, f"{name}: expected one of {choices}, got {value!r}")
 
 
+@dataclass(frozen=True)
+class TraceClassParams:
+    """Generator knobs for one synthetic population of traces."""
+
+    mean_up_s: float
+    mean_down_s: float
+    start_available_prob: float
+    weight: float = 1.0
+
+    def __post_init__(self):
+        for name in ("mean_up_s", "mean_down_s"):
+            _require(getattr(self, name) > 0, f"{name} must be > 0, got {getattr(self, name)}")
+        _require(0 <= self.start_available_prob <= 1, "start_available_prob must be in [0, 1]")
+        _require(self.weight >= 0, f"weight must be >= 0, got {self.weight}")
+
+
+# Mixed availability population: roughly 30% / 67% / 96% available.
+DEFAULT_TRACE_CLASSES = (
+    TraceClassParams(mean_up_s=90.0, mean_down_s=210.0, start_available_prob=0.3),
+    TraceClassParams(mean_up_s=600.0, mean_down_s=300.0, start_available_prob=0.67),
+    TraceClassParams(mean_up_s=4000.0, mean_down_s=150.0, start_available_prob=0.96),
+)
+
+
+@dataclass(frozen=True)
+class CapabilityBounds:
+    """Log-uniform sampling bounds for synthetic profiles, (lo, hi) pairs."""
+
+    time_per_sample_s: tuple[float, float] = (0.02, 0.2)
+    down_bw_Bps: tuple[float, float] = (100.0, 1000.0)
+    up_bw_Bps: tuple[float, float] = (100.0, 1000.0)
+
+    def __post_init__(self):
+        for name in ("time_per_sample_s", "down_bw_Bps", "up_bw_Bps"):
+            pair = getattr(self, name)
+            _require(len(pair) == 2, f"{name}: expected [lo, hi], got {pair!r}")
+            _require(0 < pair[0] <= pair[1], f"{name} bounds must satisfy 0 < lo <= hi, got {pair}")
+
+
+@dataclass(frozen=True)
+class MdaConfig:
+    memory_length: int = 10     # history window m, in rounds
+    default_weight: float = 0.5  # used until a client has m history entries
+
+    def __post_init__(self):
+        _require(self.memory_length >= 2, f"memory_length must be >= 2, got {self.memory_length}")
+        weight = self.default_weight
+        _require(0 < weight <= 1, f"default_weight must be in (0, 1], got {weight}")
+
+
+@dataclass(frozen=True)
+class FedcsConfig:
+    threshold_s: float = 15.0
+    order: str = "filter_first"
+
+    def __post_init__(self):
+        _require(self.threshold_s > 0, f"threshold_s must be > 0, got {self.threshold_s}")
+        _one_of("order", self.order, FEDCS_ORDERS)
+
+
+@dataclass(frozen=True)
+class TiflConfig:
+    num_tiers: int = 5
+    ratio: float = 1.4          # adjacent-tier selection probability ratio
+
+    def __post_init__(self):
+        _require(self.num_tiers >= 1, f"num_tiers must be >= 1, got {self.num_tiers}")
+        _require(self.ratio > 0, f"ratio must be > 0, got {self.ratio}")
+
+
 @dataclass
 class SyntheticTracesCfg:
     pool_size: int | None = None    # default: 3 * num_clients
-    horizon_s: float | None = None  # default: max(num_rounds, 1) * timeout_s
+    horizon_s: float | None = None  # default: see synthetic_horizon_s
     classes: tuple[TraceClassParams, ...] = DEFAULT_TRACE_CLASSES
 
     def __post_init__(self):
         _require(self.pool_size is None or self.pool_size >= 1, "pool_size must be >= 1")
-        _require(
-            self.horizon_s is None or 0 < self.horizon_s < math.inf,
-            f"horizon_s must be finite and > 0, got {self.horizon_s}",
-        )
+        _require(self.horizon_s is None or self.horizon_s > 0, "horizon_s must be > 0")
+        total = sum(c.weight for c in self.classes)
+        _require(0 < total < math.inf, f"classes: weight sum must be finite and > 0, got {total}")
 
 
 @dataclass
@@ -81,7 +145,7 @@ class PopulationCfg:
     num_clients: int = 100
     capability_source: str = "synthetic"
     capability_file: str | None = None
-    synthetic: CapabilityBounds = field(default_factory=CapabilityBounds)
+    synthetic: CapabilityBounds = CapabilityBounds()
 
     def __post_init__(self):
         _require(self.num_clients >= 1, f"num_clients must be >= 1, got {self.num_clients}")
@@ -138,9 +202,9 @@ class TaskCfg:
 @dataclass
 class SelectorCfg:
     kind: str = "random"
-    mda: MdaConfig = field(default_factory=MdaConfig)
-    fedcs: FedcsConfig = field(default_factory=FedcsConfig)
-    tifl: TiflConfig = field(default_factory=TiflConfig)
+    mda: MdaConfig = MdaConfig()
+    fedcs: FedcsConfig = FedcsConfig()
+    tifl: TiflConfig = TiflConfig()
 
     def __post_init__(self):
         _one_of("kind", self.kind, SELECTOR_KINDS)
@@ -209,14 +273,16 @@ _EXPECTED = {int: "an integer", bool: "true/false", str: "a string"}
 def _value(hint, value, path: str):
     """value as the type hint asks: a scalar, a section, an optional or a list."""
     if hint is float:
-        if isinstance(value, str):
-            try:
-                return float(value)  # YAML renders shorthand like "1e6" as a string
-            except ValueError:
-                pass
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ConfigError(f"{path}: expected a number, got {value!r}")
+        try:
+            number = float(value)  # YAML renders shorthand like "1e6" as a string
+        except ValueError:
+            raise ConfigError(f"{path}: expected a number, got {value!r}") from None
+        except OverflowError:  # an integer beyond float range
+            number = math.inf
+        _require(math.isfinite(number), f"{path} must be finite, got {value!r}")
+        return number
     if hint in _EXPECTED:
         if isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
             return value
@@ -258,6 +324,21 @@ def _build(cls, data, path: str):
         raise ConfigError(f"{prefix}{exc}") from None
 
 
+def synthetic_horizon_s(cfg: ExperimentConfig) -> float:
+    """The synthetic traces' horizon: horizon_s, by default one timeout per round."""
+    horizon = cfg.scenario.synthetic.horizon_s
+    if horizon is None:
+        try:
+            horizon = max(cfg.round.num_rounds, 1) * cfg.round.timeout_s
+        except OverflowError:  # num_rounds beyond float range
+            horizon = math.inf
+        _require(
+            horizon < math.inf,
+            "scenario.synthetic.horizon_s: the default, num_rounds * timeout_s, is not finite",
+        )
+    return horizon
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build and validate a config from an already-parsed mapping."""
     if data is None:
@@ -282,12 +363,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         f"population.num_clients ({cfg.population.num_clients}) must be <= the "
         f"{train} training samples of task.num_samples ({cfg.task.num_samples})",
     )
-    horizon = cfg.scenario.synthetic.horizon_s
-    if cfg.scenario.source == "synthetic" and horizon is not None and cfg.round.num_rounds >= 1:
+    horizon = synthetic_horizon_s(cfg)
+    if cfg.scenario.source == "synthetic" and cfg.round.num_rounds >= 1:
         # The engine's own round-0 check: such a horizon cannot hold one round.
         # Longer horizons may still finish a run, so they pass.
         _require(
-            not cfg.round.timeout_s > horizon + 1e-9,
+            cfg.round.timeout_s <= horizon + 1e-9,
             f"scenario.synthetic.horizon_s ({horizon}) must be >= round.timeout_s "
             f"({cfg.round.timeout_s}): no round fits in the trace horizon",
         )

@@ -1,4 +1,7 @@
-"""Deterministic per-client round-time model and capability ingestion/synthesis."""
+"""Deterministic per-client round-time model and capability ingestion/synthesis.
+
+The synthesis bounds (CapabilityBounds) are a config section, defined in `config`.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .config import CapabilityBounds
+from .errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -38,24 +42,6 @@ class TaskDims:
             raise ValueError("model_size_bytes must be > 0")
         if self.local_epochs < 1 or self.batch_size < 1:
             raise ValueError("local_epochs and batch_size must be >= 1")
-
-
-@dataclass(frozen=True)
-class CapabilityBounds:
-    """Log-uniform sampling bounds for synthetic profiles, (lo, hi) pairs."""
-
-    time_per_sample_s: tuple[float, float] = (0.02, 0.2)
-    down_bw_Bps: tuple[float, float] = (100.0, 1000.0)
-    up_bw_Bps: tuple[float, float] = (100.0, 1000.0)
-
-    def __post_init__(self):
-        for name in ("time_per_sample_s", "down_bw_Bps", "up_bw_Bps"):
-            pair = getattr(self, name)
-            if len(pair) != 2:
-                raise ConfigError(f"{name}: expected [lo, hi], got {pair!r}")
-            lo, hi = pair
-            if lo <= 0 or hi < lo:
-                raise ConfigError(f"{name} bounds must satisfy 0 < lo <= hi, got ({lo}, {hi})")
 
 
 def round_time(profile: ClientProfile, num_samples: int, dims: TaskDims) -> float:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import learning
-from .config import ExperimentConfig
+from .config import ExperimentConfig, synthetic_horizon_s
 from .cost import TaskDims, generate_profiles, parse_capability_file, round_time
 from .errors import ConfigError, SimulationError
 from .selectors import SelectorState, make_selector, update_history
@@ -163,12 +163,7 @@ def synthetic_pool(cfg: ExperimentConfig):
     seed_tracegen = np.random.SeedSequence(cfg.seeds.scenario_seed).spawn(3)[0]
     syn = cfg.scenario.synthetic
     pool_size = syn.pool_size if syn.pool_size is not None else 3 * cfg.population.num_clients
-    horizon = (
-        syn.horizon_s
-        if syn.horizon_s is not None
-        else max(cfg.round.num_rounds, 1) * cfg.round.timeout_s
-    )
-    return generate_pool(list(syn.classes), pool_size, horizon, seed_tracegen)
+    return generate_pool(list(syn.classes), pool_size, synthetic_horizon_s(cfg), seed_tracegen)
 
 
 def build_world(cfg: ExperimentConfig) -> World:

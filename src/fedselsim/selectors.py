@@ -3,57 +3,18 @@
 All selectors share one calling shape: they see the currently available pool,
 the per-round budget n, the server-side SelectorState, and an owned RNG, and
 return a sorted list of selected client indices. An empty return means the
-round must be skipped (e.g. FedCS found no eligible client).
+round must be skipped (e.g. FedCS found no eligible client). Their parameter
+classes are config sections, defined and validated in `config`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import SELECTOR_KINDS, FedcsConfig, MdaConfig, TiflConfig
 from .errors import ConfigError
-
-SELECTOR_KINDS = ("random", "fedcs", "tifl", "mda", "tifl_mda")
-
-FEDCS_ORDERS = ("filter_first", "sample_first")
-
-
-@dataclass(frozen=True)
-class MdaConfig:
-    memory_length: int = 10     # history window m, in rounds
-    default_weight: float = 0.5  # used until a client has m history entries
-
-    def __post_init__(self):
-        if self.memory_length < 2:
-            raise ConfigError(f"memory_length must be >= 2, got {self.memory_length}")
-        if not 0.0 < self.default_weight <= 1.0:
-            raise ConfigError(f"default_weight must be in (0, 1], got {self.default_weight}")
-
-
-@dataclass(frozen=True)
-class FedcsConfig:
-    threshold_s: float = 15.0
-    order: str = "filter_first"
-
-    def __post_init__(self):
-        if self.threshold_s <= 0:
-            raise ConfigError(f"threshold_s must be > 0, got {self.threshold_s}")
-        if self.order not in FEDCS_ORDERS:
-            raise ConfigError(f"order: expected one of {FEDCS_ORDERS}, got {self.order!r}")
-
-
-@dataclass(frozen=True)
-class TiflConfig:
-    num_tiers: int = 5
-    ratio: float = 1.4          # adjacent-tier selection probability ratio
-
-    def __post_init__(self):
-        if self.num_tiers < 1:
-            raise ConfigError(f"num_tiers must be >= 1, got {self.num_tiers}")
-        if self.ratio <= 0:
-            raise ConfigError(f"ratio must be > 0, got {self.ratio}")
 
 
 class SelectorState:
@@ -367,34 +328,29 @@ def make_selector(
     kind: str,
     *,
     round_times: Sequence[float] | None = None,
-    fedcs: FedcsConfig | None = None,
-    tifl: TiflConfig | None = None,
-    mda: MdaConfig | None = None,
+    fedcs: FedcsConfig = FedcsConfig(),
+    tifl: TiflConfig = TiflConfig(),
+    mda: MdaConfig = MdaConfig(),
 ) -> SelectFn:
     """Bind a selector kind to its static inputs behind the common call shape."""
     if kind == "random":
         return lambda pool, n, state, rng: select_random(pool, n, rng)
     if kind == "fedcs":
-        cfg = fedcs or FedcsConfig()
         if round_times is None:
             raise ValueError("fedcs needs per-client round times")
-        return lambda pool, n, state, rng: select_fedcs(pool, n, cfg, round_times, rng)
+        return lambda pool, n, state, rng: select_fedcs(pool, n, fedcs, round_times, rng)
     if kind == "tifl":
-        cfg = tifl or TiflConfig()
         if round_times is None:
             raise ValueError("tifl needs per-client round times")
-        tiers = assign_tiers(round_times, cfg.num_tiers)
-        probs = tier_probabilities(cfg.num_tiers, cfg.ratio)
+        tiers = assign_tiers(round_times, tifl.num_tiers)
+        probs = tier_probabilities(tifl.num_tiers, tifl.ratio)
         return lambda pool, n, state, rng: select_tifl(pool, n, tiers, probs, rng)
     if kind == "mda":
-        cfg = mda or MdaConfig()
-        return lambda pool, n, state, rng: select_mda(pool, n, state, cfg, rng)
+        return lambda pool, n, state, rng: select_mda(pool, n, state, mda, rng)
     if kind == "tifl_mda":
-        tcfg = tifl or TiflConfig()
-        mcfg = mda or MdaConfig()
         if round_times is None:
             raise ValueError("tifl_mda needs per-client round times")
-        tiers = assign_tiers(round_times, tcfg.num_tiers)
-        probs = tier_probabilities(tcfg.num_tiers, tcfg.ratio)
-        return lambda pool, n, state, rng: select_tifl_mda(pool, n, tiers, probs, state, mcfg, rng)
+        tiers = assign_tiers(round_times, tifl.num_tiers)
+        probs = tier_probabilities(tifl.num_tiers, tifl.ratio)
+        return lambda pool, n, state, rng: select_tifl_mda(pool, n, tiers, probs, state, mda, rng)
     raise ConfigError(f"unknown selector kind {kind!r}; expected one of {SELECTOR_KINDS}")

@@ -1,4 +1,7 @@
-"""Client availability traces: synthesis, ingestion, ranking, and scenario building."""
+"""Client availability traces: synthesis, ingestion, ranking, and scenario building.
+
+The synthesis knobs (TraceClassParams) are a config section, defined in `config`.
+"""
 
 from __future__ import annotations
 
@@ -8,12 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SCENARIO_KINDS, TraceClassParams
 from .errors import ConfigError, ParseError
 
 SECONDS_PER_HOUR = 3600.0
-
-# In the order of the pool blocks that build_scenario draws its majority from.
-SCENARIO_KINDS = ("low", "average", "high")
 
 
 @dataclass(frozen=True)
@@ -43,25 +44,6 @@ class AvailabilityTrace:
 class TraceStats:
     available_fraction: float   # in [0, 1]
     transition_rate: float      # flips per hour
-
-
-@dataclass(frozen=True)
-class TraceClassParams:
-    """Generator knobs for one synthetic population of traces."""
-
-    mean_up_s: float
-    mean_down_s: float
-    start_available_prob: float
-    weight: float = 1.0
-
-    def __post_init__(self):
-        # `not > 0` also rejects NaN, which would never reach a horizon.
-        if not (self.mean_up_s > 0 and self.mean_down_s > 0):
-            raise ConfigError("mean up/down durations must be > 0")
-        if not 0.0 <= self.start_available_prob <= 1.0:
-            raise ConfigError("start_available_prob must be in [0, 1]")
-        if self.weight < 0:
-            raise ConfigError("weight must be >= 0")
 
 
 def is_available(trace: AvailabilityTrace, t: float) -> bool:

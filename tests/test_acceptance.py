@@ -16,7 +16,7 @@ import pytest
 
 import oracles
 from fedselsim import learning
-from fedselsim.config import config_from_dict
+from fedselsim.config import MdaConfig, config_from_dict
 from fedselsim.engine import (
     build_world,
     compare_selectors,
@@ -25,7 +25,6 @@ from fedselsim.engine import (
     run_many,
 )
 from fedselsim.selectors import (
-    MdaConfig,
     assign_tiers,
     mda_weights,
     select_tifl,

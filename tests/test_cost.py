@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from fedselsim.config import CapabilityBounds
 from fedselsim.cost import (
-    CapabilityBounds,
     ClientProfile,
     TaskDims,
     generate_profiles,
@@ -130,5 +130,7 @@ def test_capability_bounds_validation():
         CapabilityBounds(time_per_sample_s=(0.2, 0.02))
     with pytest.raises(ConfigError):
         CapabilityBounds(down_bw_Bps=(0.0, 10.0))
+    with pytest.raises(ConfigError):
+        CapabilityBounds(time_per_sample_s=(float("nan"), 1.0))
     with pytest.raises(ValueError):
         generate_profiles(0, CapabilityBounds(), 1)

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
+from fedselsim.config import FedcsConfig, MdaConfig, TiflConfig
 from fedselsim.errors import ConfigError
 from fedselsim.selectors import (
-    FedcsConfig,
-    MdaConfig,
     SelectorState,
-    TiflConfig,
     assign_tiers,
     make_selector,
     mda_weights,
@@ -421,6 +419,8 @@ def test_fedcs_config_validation():
     with pytest.raises(ConfigError):
         FedcsConfig(threshold_s=0.0)
     with pytest.raises(ConfigError):
+        FedcsConfig(threshold_s=float("nan"))
+    with pytest.raises(ConfigError):
         FedcsConfig(order="filtered")
 
 
@@ -613,3 +613,5 @@ def test_tifl_config_validation():
         TiflConfig(num_tiers=0)
     with pytest.raises(ConfigError):
         TiflConfig(ratio=0.0)
+    with pytest.raises(ConfigError):
+        TiflConfig(ratio=float("nan"))

@@ -7,11 +7,10 @@ import pytest
 
 import oracles
 from fedselsim import traces
-from fedselsim.config import DEFAULT_TRACE_CLASSES
+from fedselsim.config import DEFAULT_TRACE_CLASSES, TraceClassParams
 from fedselsim.errors import ConfigError, ParseError
 from fedselsim.traces import (
     AvailabilityTrace,
-    TraceClassParams,
     build_scenario,
     generate_pool,
     generate_trace,
@@ -256,6 +255,8 @@ def test_generate_trace_validation():
         TraceClassParams(300.0, math.nan, 0.5)
     with pytest.raises(ConfigError):
         TraceClassParams(300.0, 300.0, 1.5)
+    with pytest.raises(ConfigError):
+        TraceClassParams(1.0, 1.0, 0.5, weight=math.nan)
 
 
 def assert_matches_loop_oracle(params, horizon, seed):
