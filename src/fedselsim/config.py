@@ -279,8 +279,8 @@ def _value(hint, value, path: str):
             number = float(value)  # YAML renders shorthand like "1e6" as a string
         except ValueError:
             raise ConfigError(f"{path}: expected a number, got {value!r}") from None
-        except OverflowError:  # an integer beyond float range
-            number = math.inf
+        except OverflowError:  # an integer beyond float range, maybe too long to repr
+            raise ConfigError(f"{path} must be finite, got an integer beyond float range") from None
         _require(math.isfinite(number), f"{path} must be finite, got {value!r}")
         return number
     if hint in _EXPECTED:
@@ -386,4 +386,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from None
+    except ValueError as exc:  # e.g. an integer longer than Python converts (4 300 digits)
+        raise ConfigError(f"config {path} holds a value that cannot be read: {exc}") from None
     return config_from_dict(data)

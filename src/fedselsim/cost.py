@@ -1,6 +1,7 @@
 """Deterministic per-client round-time model and capability ingestion/synthesis.
 
-The synthesis bounds (CapabilityBounds) are a config section, defined in `config`.
+The synthesis bounds (CapabilityBounds) are a config section, defined in `config`;
+`round_time` takes the task's model size and epoch count as plain numbers.
 """
 
 from __future__ import annotations
@@ -29,32 +30,21 @@ class ClientProfile:
             raise ValueError(f"{self.client_id}: bandwidths must be > 0")
 
 
-@dataclass(frozen=True)
-class TaskDims:
-    """The task numbers the cost model needs."""
-
-    model_size_bytes: float
-    local_epochs: int
-    batch_size: int
-
-    def __post_init__(self):
-        if self.model_size_bytes <= 0:
-            raise ValueError("model_size_bytes must be > 0")
-        if self.local_epochs < 1 or self.batch_size < 1:
-            raise ValueError("local_epochs and batch_size must be >= 1")
-
-
-def round_time(profile: ClientProfile, num_samples: int, dims: TaskDims) -> float:
+def round_time(
+    profile: ClientProfile, num_samples: int, model_size_bytes: float, local_epochs: int
+) -> float:
     """Download + epochs * num_samples (shard size) * per-sample time + upload, in s.
 
-    Shared by the engine (ground truth) and FedCS/TiFL (estimate), so the
-    estimation error is zero by construction.
+    The model size and epoch count come from an already validated
+    `config.TaskCfg` (through `learning.model_size_bytes`). Shared by the
+    engine (ground truth) and FedCS/TiFL (estimate), so the estimation error is
+    zero by construction.
     """
     if num_samples < 0:
         raise ValueError(f"{profile.client_id}: num_samples must be >= 0")
-    down = dims.model_size_bytes / profile.down_bw_Bps
-    up = dims.model_size_bytes / profile.up_bw_Bps
-    compute = dims.local_epochs * num_samples * profile.time_per_sample_s
+    down = model_size_bytes / profile.down_bw_Bps
+    up = model_size_bytes / profile.up_bw_Bps
+    compute = local_epochs * num_samples * profile.time_per_sample_s
     return down + compute + up
 
 

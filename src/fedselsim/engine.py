@@ -14,7 +14,7 @@ import numpy as np
 
 from . import learning
 from .config import ExperimentConfig, synthetic_horizon_s
-from .cost import TaskDims, generate_profiles, parse_capability_file, round_time
+from .cost import generate_profiles, parse_capability_file, round_time
 from .errors import ConfigError, SimulationError
 from .selectors import SelectorState, make_selector, update_history
 from .traces import (
@@ -205,12 +205,10 @@ def build_world(cfg: ExperimentConfig) -> World:
     if empty:
         log.warning("%d of %d clients received empty data shards", empty, num_clients)
 
-    dims = TaskDims(
-        model_size_bytes=learning.model_size_bytes(task.classes_k, task.features_d),
-        local_epochs=task.epochs,
-        batch_size=task.batch_size,
-    )
-    round_times = [round_time(p, len(shard), dims) for p, shard in zip(profiles, shards)]
+    size = learning.model_size_bytes(task.classes_k, task.features_d)
+    round_times = [
+        round_time(p, len(shard), size, task.epochs) for p, shard in zip(profiles, shards)
+    ]
 
     if cfg.round.strict_availability_failures:
         slowest = max(range(num_clients), key=lambda c: round_times[c])
@@ -240,6 +238,14 @@ def _client_fails(trace, clock: float, t_c: float, timeout: float) -> bool:
     window_end = clock + min(t_c, timeout)
     i = bisect.bisect_right(trace.transitions, clock)
     return i < len(trace.transitions) and trace.transitions[i] <= window_end
+
+
+def _accuracy(world: World, model: np.ndarray, classes_k: int) -> float:
+    """Test-set accuracy of model, in percent."""
+    test = world.dataset.test_idx
+    return 100.0 * learning.evaluate(
+        model, world.dataset.features[test], world.dataset.labels[test], classes_k
+    )
 
 
 def run_round(
@@ -291,14 +297,7 @@ def run_round(
             )
         model = model + learning.fedavg(deltas)
 
-    accuracy = None
-    if eval_now:
-        accuracy = 100.0 * learning.evaluate(
-            model,
-            world.dataset.features[world.dataset.test_idx],
-            world.dataset.labels[world.dataset.test_idx],
-            task.classes_k,
-        )
+    accuracy = _accuracy(world, model, task.classes_k) if eval_now else None
     outcome = RoundOutcome(
         round_index, clock, duration, tuple(selected), failed, False, accuracy
     )
@@ -346,15 +345,11 @@ def run_experiment(
         if outcome.accuracy is not None:
             curve.append((r, clock, outcome.accuracy))
 
-    if curve:
-        final_accuracy = curve[-1][2]
-    else:
-        final_accuracy = 100.0 * learning.evaluate(
-            model,
-            world.dataset.features[world.dataset.test_idx],
-            world.dataset.labels[world.dataset.test_idx],
-            cfg.task.classes_k,
-        )
+    # The last round is always due for evaluation, but a skipped round is not
+    # scored: then (or with no rounds) score the final model here.
+    final_accuracy = outcomes[-1].accuracy if outcomes else None
+    if final_accuracy is None:
+        final_accuracy = _accuracy(world, model, cfg.task.classes_k)
     survivors_per_round = [set(o.selected) - set(o.failed) for o in outcomes]
     metrics = {
         "training_time_s": float(sum(o.duration_s for o in outcomes)),

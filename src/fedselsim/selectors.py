@@ -265,11 +265,14 @@ def _draw_tier(tiers_present: list[int], probs: Sequence[float], rng: np.random.
     return tiers_present[-1]
 
 
-def _group_by_tier(available: Sequence[int], tiers: Sequence[int]) -> dict[int, list[int]]:
-    grouped: dict[int, list[int]] = {}
-    for c in available:
-        grouped.setdefault(tiers[c], []).append(c)
-    return grouped
+def _tier_members(
+    available: Sequence[int], tiers: Sequence[int], probs: Sequence[float], rng: np.random.Generator
+) -> list[int]:
+    """Ascending members of one tier drawn over the tiers present in the pool."""
+    if not available:
+        raise ValueError("empty availability pool")
+    tier = _draw_tier(sorted({tiers[c] for c in available}), probs, rng)
+    return sorted(c for c in available if tiers[c] == tier)
 
 
 def select_tifl(
@@ -280,11 +283,7 @@ def select_tifl(
     rng: np.random.Generator,
 ) -> list[int]:
     """Draw one tier (renormalized over non-empty tiers), then sample uniformly in it."""
-    if not available:
-        raise ValueError("empty availability pool")
-    grouped = _group_by_tier(available, tiers)
-    tier = _draw_tier(sorted(grouped), probs, rng)
-    return select_random(sorted(grouped[tier]), n, rng)
+    return select_random(_tier_members(available, tiers, probs, rng), n, rng)
 
 
 def select_tifl_mda(
@@ -297,13 +296,7 @@ def select_tifl_mda(
     rng: np.random.Generator,
 ) -> list[int]:
     """TiFL's tier draw with MDA weights replacing the uniform in-tier sample."""
-    if not available:
-        raise ValueError("empty availability pool")
-    grouped = _group_by_tier(available, tiers)
-    tier = _draw_tier(sorted(grouped), probs, rng)
-    members = sorted(grouped[tier])
-    weights = mda_weights(state, members, cfg)
-    return sorted(weighted_sample_without_replacement(members, weights, n, rng))
+    return select_mda(_tier_members(available, tiers, probs, rng), n, state, cfg, rng)
 
 
 def select_mda(
@@ -335,22 +328,16 @@ def make_selector(
     """Bind a selector kind to its static inputs behind the common call shape."""
     if kind == "random":
         return lambda pool, n, state, rng: select_random(pool, n, rng)
-    if kind == "fedcs":
-        if round_times is None:
-            raise ValueError("fedcs needs per-client round times")
-        return lambda pool, n, state, rng: select_fedcs(pool, n, fedcs, round_times, rng)
-    if kind == "tifl":
-        if round_times is None:
-            raise ValueError("tifl needs per-client round times")
-        tiers = assign_tiers(round_times, tifl.num_tiers)
-        probs = tier_probabilities(tifl.num_tiers, tifl.ratio)
-        return lambda pool, n, state, rng: select_tifl(pool, n, tiers, probs, rng)
     if kind == "mda":
         return lambda pool, n, state, rng: select_mda(pool, n, state, mda, rng)
-    if kind == "tifl_mda":
-        if round_times is None:
-            raise ValueError("tifl_mda needs per-client round times")
-        tiers = assign_tiers(round_times, tifl.num_tiers)
-        probs = tier_probabilities(tifl.num_tiers, tifl.ratio)
-        return lambda pool, n, state, rng: select_tifl_mda(pool, n, tiers, probs, state, mda, rng)
-    raise ConfigError(f"unknown selector kind {kind!r}; expected one of {SELECTOR_KINDS}")
+    if kind not in SELECTOR_KINDS:
+        raise ConfigError(f"unknown selector kind {kind!r}; expected one of {SELECTOR_KINDS}")
+    if round_times is None:
+        raise ValueError(f"{kind} needs per-client round times")
+    if kind == "fedcs":
+        return lambda pool, n, state, rng: select_fedcs(pool, n, fedcs, round_times, rng)
+    tiers = assign_tiers(round_times, tifl.num_tiers)
+    probs = tier_probabilities(tifl.num_tiers, tifl.ratio)
+    if kind == "tifl":
+        return lambda pool, n, state, rng: select_tifl(pool, n, tiers, probs, rng)
+    return lambda pool, n, state, rng: select_tifl_mda(pool, n, tiers, probs, state, mda, rng)

@@ -1,6 +1,8 @@
 """Client availability traces: synthesis, ingestion, ranking, and scenario building.
 
 The synthesis knobs (TraceClassParams) are a config section, defined in `config`.
+`trace_stats` gives a trace's (available fraction, flips per hour) pair, which is
+`rank_traces`' sort key.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import numpy as np
 
 from .config import SCENARIO_KINDS, TraceClassParams
 from .errors import ConfigError, ParseError
-
-SECONDS_PER_HOUR = 3600.0
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,6 @@ class AvailabilityTrace:
             prev = t
 
 
-@dataclass(frozen=True)
-class TraceStats:
-    available_fraction: float   # in [0, 1]
-    transition_rate: float      # flips per hour
-
-
 def is_available(trace: AvailabilityTrace, t: float) -> bool:
     """State at time t: start state XOR parity of flips with timestamp <= t."""
     if not 0.0 <= t <= trace.horizon_s:
@@ -54,8 +48,11 @@ def is_available(trace: AvailabilityTrace, t: float) -> bool:
     return trace.start_available ^ bool(flips & 1)
 
 
-def trace_stats(trace: AvailabilityTrace) -> TraceStats:
-    """Exact integration of the piecewise-constant state over [0, horizon)."""
+def trace_stats(trace: AvailabilityTrace) -> tuple[float, float]:
+    """(available fraction in [0, 1], flips per hour) over [0, horizon).
+
+    The fraction integrates the piecewise-constant state exactly.
+    """
     up = 0.0
     state = trace.start_available
     prev = 0.0
@@ -66,8 +63,7 @@ def trace_stats(trace: AvailabilityTrace) -> TraceStats:
         prev = t
     if state:
         up += trace.horizon_s - prev
-    rate = len(trace.transitions) / (trace.horizon_s / SECONDS_PER_HOUR)
-    return TraceStats(up / trace.horizon_s, rate)
+    return up / trace.horizon_s, len(trace.transitions) / (trace.horizon_s / 3600.0)
 
 
 def rank_traces(traces: list[AvailabilityTrace]) -> list[int]:
@@ -78,10 +74,7 @@ def rank_traces(traces: list[AvailabilityTrace]) -> list[int]:
     if not traces:
         raise ValueError("cannot rank an empty trace list")
     stats = [trace_stats(tr) for tr in traces]
-    return sorted(
-        range(len(traces)),
-        key=lambda i: (stats[i].available_fraction, -stats[i].transition_rate, i),
-    )
+    return sorted(range(len(traces)), key=lambda i: (stats[i][0], -stats[i][1], i))
 
 
 def _blocks(n: int) -> list[tuple[int, int]]:

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from fedselsim import selectors
 from fedselsim.config import (
     CapabilityBounds,
     ExperimentConfig,
@@ -262,6 +263,52 @@ def loop_weighted_sample(candidates, weights, n, rng):
         picks.append(remaining.pop(idx))
         w.pop(idx)
     return picks
+
+
+# The tiered selectors as they stood before the tier draw stopped grouping
+# every available client by tier each round, copied unchanged apart from their
+# names; the in-tier draws are the package's, which have their own references
+# above. The package must match them exactly: same picks, and the same RNG
+# state afterwards.
+
+
+def _parent_draw_tier(tiers_present, probs, rng):
+    # Restrict to tiers that actually have available clients, renormalized.
+    mass = sum(probs[k] for k in tiers_present)
+    x = rng.random() * mass
+    acc = 0.0
+    for k in tiers_present:
+        acc += probs[k]
+        if x < acc:
+            return k
+    return tiers_present[-1]
+
+
+def _group_by_tier(available, tiers):
+    grouped = {}
+    for c in available:
+        grouped.setdefault(tiers[c], []).append(c)
+    return grouped
+
+
+def parent_select_tifl(available, n, tiers, probs, rng):
+    """Draw one tier (renormalized over non-empty tiers), then sample uniformly in it."""
+    if not available:
+        raise ValueError("empty availability pool")
+    grouped = _group_by_tier(available, tiers)
+    tier = _parent_draw_tier(sorted(grouped), probs, rng)
+    return selectors.select_random(sorted(grouped[tier]), n, rng)
+
+
+def parent_select_tifl_mda(available, n, tiers, probs, state, cfg, rng):
+    """TiFL's tier draw with MDA weights replacing the uniform in-tier sample."""
+    if not available:
+        raise ValueError("empty availability pool")
+    grouped = _group_by_tier(available, tiers)
+    tier = _parent_draw_tier(sorted(grouped), probs, rng)
+    members = sorted(grouped[tier])
+    weights = selectors.mda_weights(state, members, cfg)
+    return sorted(selectors.weighted_sample_without_replacement(members, weights, n, rng))
 
 
 # The one-draw-per-flip trace generator that the package's block-drawn one

@@ -428,6 +428,12 @@ def test_load_config_bad_yaml(tmp_path):
         load_config(path)
 
 
+def test_integer_too_long_to_repr_at_a_float_key():
+    # beyond 4 300 digits Python cannot even print the integer in the message
+    with pytest.raises(ConfigError, match=r"^round\.timeout_s must be finite"):
+        config_from_dict({"round": {"timeout_s": 10**5000}})
+
+
 # -------------------------------------------------------------------- cli run
 
 def test_cli_run_writes_report_and_round_logs(tmp_path, capsys):
@@ -590,6 +596,24 @@ def test_cli_run_value_out_of_range_is_one_error_line(tmp_path, capsys, key, val
     assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and re.match(re.escape(f"error: {path}") + "[ :]", err[0]), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("round:\n  timeout_s: 1" + "0" * 5000 + "\n", id="5001-digit-integer"),
+        pytest.param("seeds:\n  run_seeds: [2020-02-30]\n", id="impossible-date"),
+    ],
+)
+def test_cli_run_unreadable_yaml_value_is_one_error_line(tmp_path, capsys, text):
+    # PyYAML builds such a value with int() or datetime.date(), which raise ValueError
+    cfg_path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: config {cfg_path} holds a value that cannot be read: ")
     assert not out.exists()
 
 

@@ -6,7 +6,6 @@ import pytest
 from fedselsim.config import CapabilityBounds
 from fedselsim.cost import (
     ClientProfile,
-    TaskDims,
     generate_profiles,
     parse_capability_file,
     round_time,
@@ -18,28 +17,28 @@ def profile(tps=0.05, down=1e6, up=5e5):
     return ClientProfile("c", tps, down, up)
 
 
-DIMS = TaskDims(model_size_bytes=1e6, local_epochs=1, batch_size=20)
+TASK = (1e6, 1)   # model size in bytes, local epochs
 
 
 def test_round_time_worked_example():
     # 1e6/1e6 download + 1*100*0.05 compute + 1e6/5e5 upload = 1 + 5 + 2
-    assert round_time(profile(), 100, DIMS) == pytest.approx(8.0)
+    assert round_time(profile(), 100, *TASK) == pytest.approx(8.0)
 
 
 def test_round_time_bandwidth_halving():
-    base = round_time(profile(), 100, DIMS)
-    doubled = round_time(profile(down=2e6, up=1e6), 100, DIMS)
+    base = round_time(profile(), 100, *TASK)
+    doubled = round_time(profile(down=2e6, up=1e6), 100, *TASK)
     compute = 1 * 100 * 0.05
     assert doubled - compute == pytest.approx((base - compute) / 2)
 
 
 def test_round_time_zero_samples_is_pure_communication():
-    assert round_time(profile(), 0, DIMS) == pytest.approx(1.0 + 2.0)
+    assert round_time(profile(), 0, *TASK) == pytest.approx(1.0 + 2.0)
 
 
 def test_round_time_negative_samples():
     with pytest.raises(ValueError, match="num_samples"):
-        round_time(profile(), -1, DIMS)
+        round_time(profile(), -1, *TASK)
 
 
 def test_round_time_monotonicity():
@@ -49,16 +48,14 @@ def test_round_time_monotonicity():
         down = rng.uniform(1e3, 1e6)
         up = rng.uniform(1e3, 1e6)
         samples = int(rng.integers(0, 500))
-        dims = TaskDims(rng.uniform(1e3, 1e7), int(rng.integers(1, 4)), 20)
-        base = round_time(ClientProfile("c", tps, down, up), samples, dims)
-        assert round_time(ClientProfile("c", tps, down * 2, up), samples, dims) <= base
-        assert round_time(ClientProfile("c", tps, down, up * 2), samples, dims) <= base
-        assert round_time(ClientProfile("c", tps * 2, down, up), samples, dims) >= base
-        assert round_time(ClientProfile("c", tps, down, up), samples + 1, dims) >= base
-        bigger = TaskDims(dims.model_size_bytes * 2, dims.local_epochs, dims.batch_size)
-        assert round_time(ClientProfile("c", tps, down, up), samples, bigger) >= base
-        longer = TaskDims(dims.model_size_bytes, dims.local_epochs + 1, dims.batch_size)
-        assert round_time(ClientProfile("c", tps, down, up), samples, longer) >= base
+        size, epochs = rng.uniform(1e3, 1e7), int(rng.integers(1, 4))
+        base = round_time(ClientProfile("c", tps, down, up), samples, size, epochs)
+        assert round_time(ClientProfile("c", tps, down * 2, up), samples, size, epochs) <= base
+        assert round_time(ClientProfile("c", tps, down, up * 2), samples, size, epochs) <= base
+        assert round_time(ClientProfile("c", tps * 2, down, up), samples, size, epochs) >= base
+        assert round_time(ClientProfile("c", tps, down, up), samples + 1, size, epochs) >= base
+        assert round_time(ClientProfile("c", tps, down, up), samples, size * 2, epochs) >= base
+        assert round_time(ClientProfile("c", tps, down, up), samples, size, epochs + 1) >= base
         assert base > 0.0
 
 
@@ -68,11 +65,7 @@ def test_profile_and_dims_validation():
     with pytest.raises(ValueError):
         ClientProfile("c", 0.05, -1.0, 1e6)
     with pytest.raises(ValueError):
-        round_time(ClientProfile("c", 0.05, 1e6, 1e6), -1, DIMS)
-    with pytest.raises(ValueError):
-        TaskDims(0.0, 1, 20)
-    with pytest.raises(ValueError):
-        TaskDims(1e6, 0, 20)
+        round_time(ClientProfile("c", 0.05, 1e6, 1e6), -1, *TASK)
 
 
 # ------------------------------------------------------------ capability files

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,16 +306,18 @@ def test_run_experiment_horizon_guard():
         run_experiment(cfg, 1)
 
 
-def test_failed_clients_never_touch_the_model():
-    # replaying the log while computing-then-discarding failed deltas must give
-    # the same trajectory the engine got by never computing them
-    cfg = small_cfg(kind="low")
-    world = build_world(cfg)
-    run_seed = 4
-    report = run_experiment(cfg, run_seed, world=world)
+def accuracy_of(world, model, classes_k):
+    test = world.dataset.test_idx
+    return 100.0 * learning.evaluate(
+        model, world.dataset.features[test], world.dataset.labels[test], classes_k
+    )
 
+
+def replay(cfg, world, report):
+    """(final model, accuracies at scored rounds) from training every selected
+    client of the log, failed ones too, and aggregating only the survivors."""
     model = learning.init_params(cfg.task.classes_k, cfg.task.features_d)
-    replayed = []
+    scored = []
     for o in report.rounds:
         deltas = {}
         for c in o.selected:
@@ -327,22 +330,42 @@ def test_failed_clients_never_touch_the_model():
                 cfg.task.epochs,
                 cfg.task.batch_size,
                 cfg.task.lr,
-                np.random.SeedSequence([run_seed, o.round_index, c]),
+                np.random.SeedSequence([report.run_seed, o.round_index, c]),
             )
         kept = [deltas[c] for c in o.selected if c not in o.failed]
         if kept:
             model = model + learning.fedavg(kept)
         if o.accuracy is not None:
-            replayed.append(
-                100.0
-                * learning.evaluate(
-                    model,
-                    world.dataset.features[world.dataset.test_idx],
-                    world.dataset.labels[world.dataset.test_idx],
-                    cfg.task.classes_k,
-                )
-            )
+            scored.append(accuracy_of(world, model, cfg.task.classes_k))
+    return model, scored
+
+
+def test_failed_clients_never_touch_the_model():
+    # replaying the log while computing-then-discarding failed deltas must give
+    # the same trajectory the engine got by never computing them
+    cfg = small_cfg(kind="low")
+    world = build_world(cfg)
+    report = run_experiment(cfg, 4, world=world)
+    _, replayed = replay(cfg, world, report)
     assert replayed == [a for _, _, a in report.accuracy_curve]
+
+
+def test_skipped_last_round_reports_the_final_model(tmp_path):
+    # Every client leaves for good as round 9 begins. Round 9, the last, is
+    # skipped and not scored, after rounds 5-8 trained past the round-4
+    # evaluation, so the reported accuracy is the final model's.
+    cfg = always_on_cfg(tmp_path, num_clients=6, num_rounds=10, clients_per_round=3)
+    cfg.round.eval_every = 5
+    leave = run_experiment(cfg, 2).rounds[9].start_s
+    horizon = 2 * cfg.round.num_rounds * cfg.round.timeout_s
+    pool = [AvailabilityTrace(True, (leave,), horizon)] * 18
+    Path(cfg.scenario.trace_file).write_text(serialize_trace_file(pool))
+    world = build_world(cfg)
+    report = run_experiment(cfg, 2, world=world)
+    assert report.rounds[-1].skipped
+    assert [r for r, _, _ in report.accuracy_curve] == [4]
+    model, _ = replay(cfg, world, report)
+    assert report.metrics["accuracy_mean"] == accuracy_of(world, model, cfg.task.classes_k)
 
 
 def test_strict_timeout_cross_check():

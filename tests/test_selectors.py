@@ -558,6 +558,61 @@ def test_tifl_mda_single_available_client():
     assert picks == [5]
 
 
+# ------------------------- exact equality with the parent's grouped tier draw
+
+def tier_instances(seed, count, num_clients):
+    """(per_client, starts, cfg, tiers, probs, pool, n) draws for the tier draw.
+
+    Tiers are drawn at random, so some hold one client and some none, and the
+    pool may miss more; pools come in random order, and budgets run past the
+    size of the drawn tier and of the pool.
+    """
+    rng = np.random.default_rng(seed + 100)
+    for per_client, starts, cfg, pool in random_instances(seed, count, num_clients):
+        size = len(per_client)
+        num_tiers = int(rng.integers(1, size + 3))
+        tiers = rng.integers(0, num_tiers, size=size).tolist()
+        probs = tier_probabilities(num_tiers, float(rng.uniform(0.2, 3.0)))
+        yield per_client, starts, cfg, tiers, probs, pool, int(rng.integers(1, size + 3))
+
+
+def assert_same_tier_draws(pool, n, tiers, probs, state, cfg, seed):
+    for select, parent, extra in (
+        (select_tifl, oracles.parent_select_tifl, ()),
+        (select_tifl_mda, oracles.parent_select_tifl_mda, (state, cfg)),
+    ):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        picks = select(pool, n, tiers, probs, *extra, rng)
+        assert picks == parent(pool, n, tiers, probs, *extra, ref_rng)
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("seed, count, num_clients", [(808, 3000, None), (809, 300, 40)])
+def test_tier_selectors_equal_the_parent_grouping_exactly(seed, count, num_clients):
+    for i, (per_client, starts, cfg, tiers, probs, pool, n) in enumerate(
+        tier_instances(seed, count, num_clients)
+    ):
+        state = state_from_history(per_client, starts)
+        assert_same_tier_draws(pool, n, tiers, probs, state, cfg, i)
+
+
+@pytest.mark.parametrize(
+    "pool, n, tiers",
+    [
+        ([5, 0, 3, 1], 2, [0, 0, 2, 2, 4, 4]),          # unsorted pool, gaps in the tiers
+        ([4, 1], 3, [0, 0, 1, 1, 2, 2]),                # only tiers 0 and 2 available
+        ([2, 0, 5, 3, 1, 4], 2, [0, 1, 2, 3, 4, 5]),    # one client per tier
+        ([5, 4, 3, 2, 1, 0], 9, [3, 3, 0, 1, 0, 3]),    # budget beyond every tier
+        ([3], 1, [1, 1, 1, 0, 1, 1]),                    # a one-client pool
+    ],
+)
+def test_tier_selectors_edge_cases_equal_the_parent_grouping_exactly(pool, n, tiers):
+    state = all_on_state(6, rounds=12)
+    probs = tier_probabilities(max(tiers) + 1, 1.4)
+    for seed in range(20):
+        assert_same_tier_draws(pool, n, tiers, probs, state, MdaConfig(), seed)
+
+
 # ------------------------------------------------------------------ select_mda
 
 def test_select_mda_properties():

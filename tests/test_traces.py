@@ -73,17 +73,9 @@ def test_trace_invariants_enforced():
 # ----------------------------------------------------------------- trace_stats
 
 def test_trace_stats_examples():
-    always_on = trace_stats(AvailabilityTrace(True, (), 3600.0))
-    assert always_on.available_fraction == 1.0
-    assert always_on.transition_rate == 0.0
-
-    half = trace_stats(AvailabilityTrace(True, (1800.0,), 3600.0))
-    assert half.available_fraction == 0.5
-    assert half.transition_rate == 1.0
-
-    always_off = trace_stats(AvailabilityTrace(False, (), 3600.0))
-    assert always_off.available_fraction == 0.0
-    assert always_off.transition_rate == 0.0
+    assert trace_stats(AvailabilityTrace(True, (), 3600.0)) == (1.0, 0.0)
+    assert trace_stats(AvailabilityTrace(True, (1800.0,), 3600.0)) == (0.5, 1.0)
+    assert trace_stats(AvailabilityTrace(False, (), 3600.0)) == (0.0, 0.0)
 
 
 def test_trace_stats_matches_integration_oracle():
@@ -93,9 +85,9 @@ def test_trace_stats_matches_integration_oracle():
         up = oracles.integrate_available(
             trace.start_available, trace.transitions, trace.horizon_s
         )
-        stats = trace_stats(trace)
-        assert stats.available_fraction == pytest.approx(up / trace.horizon_s, abs=1e-12)
-        assert stats.transition_rate == pytest.approx(
+        fraction, rate = trace_stats(trace)
+        assert fraction == pytest.approx(up / trace.horizon_s, abs=1e-12)
+        assert rate == pytest.approx(
             len(trace.transitions) / (trace.horizon_s / 3600.0)
         )
 
@@ -110,7 +102,7 @@ def test_trace_stats_one_second_sampling():
         times = tuple(sorted(rng.choice(np.arange(1, 500), size=count, replace=False).astype(float)))
         trace = AvailabilityTrace(bool(rng.integers(2)), times, horizon)
         sampled = np.mean([is_available(trace, float(t)) for t in range(int(horizon))])
-        assert abs(trace_stats(trace).available_fraction - sampled) <= 1.0 / horizon + 1e-12
+        assert abs(trace_stats(trace)[0] - sampled) <= 1.0 / horizon + 1e-12
 
 
 # ----------------------------------------------------------------- rank_traces
@@ -131,7 +123,7 @@ def test_rank_traces_rate_tiebreak():
     # equal fraction 0.5; the flappier trace (3 flips -> rate 3x) ranks worse
     slow = AvailabilityTrace(True, (500.0,), 1000.0)
     flappy = AvailabilityTrace(True, (250.0, 500.0, 750.0), 1000.0)
-    assert trace_stats(slow).available_fraction == trace_stats(flappy).available_fraction
+    assert trace_stats(slow)[0] == trace_stats(flappy)[0]
     assert rank_traces([slow, flappy]) == [1, 0]
 
 
@@ -160,7 +152,7 @@ def ranked_pool(n, horizon=1000.0):
 
 def block_of(trace, pool_size):
     """Which third of the ranked pool a fraction_trace came from."""
-    fraction = trace_stats(trace).available_fraction
+    fraction = trace_stats(trace)[0]
     index = round(fraction * pool_size - 0.5)
     b = pool_size // 3
     mid = (pool_size - b) // 2
@@ -205,7 +197,7 @@ def test_build_scenario_odd_count_remainder_to_later_block():
 def test_build_scenario_draws_without_replacement():
     pool = ranked_pool(300)
     assigned = build_scenario(pool, "low", 90, (0.6, 0.2, 0.2), 3)
-    fractions = [trace_stats(t).available_fraction for t in assigned]
+    fractions = [trace_stats(t)[0] for t in assigned]
     assert len(set(fractions)) == len(fractions)
 
 
@@ -228,7 +220,7 @@ def test_generate_trace_near_permanent_uptime():
     params = TraceClassParams(mean_up_s=3600.0 * 1e6, mean_down_s=600.0, start_available_prob=1.0)
     for seed in range(100):
         trace = generate_trace(params, 3600.0, seed)
-        assert trace_stats(trace).available_fraction > 0.99
+        assert trace_stats(trace)[0] > 0.99
 
 
 def test_generate_trace_deterministic():
@@ -239,7 +231,7 @@ def test_generate_trace_deterministic():
 def test_generate_trace_symmetric_balance():
     params = TraceClassParams(600.0, 600.0, 0.5)
     fractions = [
-        trace_stats(generate_trace(params, 36_000.0, seed)).available_fraction
+        trace_stats(generate_trace(params, 36_000.0, seed))[0]
         for seed in range(1000)
     ]
     assert 0.45 <= np.mean(fractions) <= 0.55
