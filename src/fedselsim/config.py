@@ -375,6 +375,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """PyYAML's error on one line: the problem and where it was found."""
+    problem, mark = getattr(exc, "problem", None), getattr(exc, "problem_mark", None)
+    if problem and mark:
+        text = f"{problem} (line {mark.line + 1}, column {mark.column + 1})"
+    else:   # an unmarked error, such as the reader's
+        text = str(exc)
+    return " ".join(text.split())
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read a YAML config file, fill defaults, and validate strictly."""
     path = Path(path)
@@ -385,7 +395,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path} is not valid YAML: {exc}") from None
+        raise ConfigError(f"config {path} is not valid YAML: {_yaml_problem(exc)}") from None
     except ValueError as exc:  # e.g. an integer longer than Python converts (4 300 digits)
         raise ConfigError(f"config {path} holds a value that cannot be read: {exc}") from None
     return config_from_dict(data)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import logging
 import statistics
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -236,7 +237,7 @@ def _client_fails(trace, clock: float, t_c: float, timeout: float) -> bool:
     if t_c > timeout:
         return True
     window_end = clock + min(t_c, timeout)
-    i = bisect.bisect_right(trace.transitions, clock)
+    i = bisect_right(trace.transitions, clock)
     return i < len(trace.transitions) and trace.transitions[i] <= window_end
 
 
@@ -292,7 +293,8 @@ def run_round(
                     task.epochs,
                     task.batch_size,
                     task.lr,
-                    np.random.SeedSequence([run_seed, round_index, c]),
+                    # default_rng seeds it as SeedSequence([run_seed, round_index, c])
+                    (run_seed, round_index, c),
                 )
             )
         model = model + learning.fedavg(deltas)
@@ -334,7 +336,9 @@ def run_experiment(
                 f"trace horizon {world.horizon_s}s; regenerate traces with a horizon "
                 f">= num_rounds * timeout_s = {num_rounds * timeout}s"
             )
-        availability = [is_available(trace, clock) for trace in world.traces]
+        availability = np.fromiter(
+            map(is_available, world.traces, repeat(clock)), bool, len(world.traces)
+        )
         update_history(state, r, clock, availability, prev_failed)
         eval_now = (r + 1) % cfg.round.eval_every == 0 or r == num_rounds - 1
         outcome, model, clock = run_round(

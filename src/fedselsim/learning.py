@@ -54,8 +54,17 @@ def _class_splits(num_samples: int, classes_k: int) -> list[tuple[int, int]]:
 
 
 def train_split_size(num_samples: int, classes_k: int) -> int:
-    """Size of make_dataset's train split, which dirichlet_partition divides."""
-    return sum(n_train for n_train, _ in _class_splits(num_samples, classes_k))
+    """Size of make_dataset's train split, which dirichlet_partition divides.
+
+    The sum of `_class_splits`' train counts in constant time: `rem` classes
+    hold `base + 1` samples and the others `base`.
+    """
+    base, rem = divmod(num_samples, classes_k)
+
+    def n_train(count: int) -> int:
+        return count - max(1, round(0.2 * count))
+
+    return rem * n_train(base + 1) + (classes_k - rem) * n_train(base)
 
 
 def make_dataset(
@@ -141,6 +150,11 @@ def local_train(
     of `batch_size` rows (the last one may be shorter). An empty shard yields
     a zero delta (the client "trains" on nothing).
 
+    A shard of fewer than two rows makes no generator: the permutation of 0 or
+    1 rows is the identity whatever the seed, so the result does not depend on
+    the seed. A one-row shard is gathered once, in place of once per epoch,
+    into the contiguous (1, d) block the per-epoch gather would copy.
+
     The rows and one-hot labels are gathered in shuffled order once per epoch,
     so each batch is a contiguous slice, and each step works in place on its
     logits and on one gradient buffer laid out like the parameters. This gives
@@ -172,10 +186,14 @@ def local_train(
     w, b = _unpack(params, classes_k, features.shape[1])
     grad_w, grad_b = _unpack(grad, classes_k, features.shape[1])
     eye = np.eye(classes_k)
-    rng = np.random.default_rng(seed)
+    if n > 1:
+        rng = np.random.default_rng(seed)
+    else:
+        xs, ys = np.ascontiguousarray(features), eye[labels]
     for _ in range(epochs):
-        order = rng.permutation(n)
-        xs, ys = features[order], eye[labels[order]]
+        if n > 1:
+            order = rng.permutation(n)
+            xs, ys = features[order], eye[labels[order]]
         for s in range(0, n, batch_size):
             x, y = xs[s : s + batch_size], ys[s : s + batch_size]
             z = x @ w.T
@@ -196,10 +214,11 @@ def local_train(
 def fedavg(deltas: list[np.ndarray]) -> np.ndarray:
     """Unweighted element-wise mean of client deltas.
 
-    np.stack raises ValueError unless there is at least one delta and all
-    have one shape.
+    The sum along the stacked axis, then one division: the float operations
+    of `np.mean(axis=0)`, without its Python wrapper. np.stack raises
+    ValueError unless there is at least one delta and all have one shape.
     """
-    return np.mean(np.stack(deltas), axis=0)
+    return np.add.reduce(np.stack(deltas)) / len(deltas)
 
 
 def evaluate(params: np.ndarray, features: np.ndarray, labels: np.ndarray, classes_k: int) -> float:

@@ -7,8 +7,8 @@ The synthesis knobs (TraceClassParams) are a config section, defined in `config`
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +44,7 @@ def is_available(trace: AvailabilityTrace, t: float) -> bool:
     """State at time t: start state XOR parity of flips with timestamp <= t."""
     if not 0.0 <= t <= trace.horizon_s:
         raise ValueError(f"t={t} outside trace range [0, {trace.horizon_s}]")
-    flips = bisect.bisect_right(trace.transitions, t)
-    return trace.start_available ^ bool(flips & 1)
+    return bisect_right(trace.transitions, t) & 1 != trace.start_available
 
 
 def trace_stats(trace: AvailabilityTrace) -> tuple[float, float]:

@@ -617,6 +617,27 @@ def test_cli_run_unreadable_yaml_value_is_one_error_line(tmp_path, capsys, text)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        pytest.param("round:\n  timeout_s: [1\n", " (line 3, column 1)", id="unclosed-list"),
+        pytest.param("round:\n  timeout_s: 1: 2\n", " (line 2, column 15)", id="nested-colon"),
+        pytest.param("round:\n\ttimeout_s: 1\n", " (line 2, column 1)", id="tab-indent"),
+        pytest.param("round: \x00\n", "", id="nul-character"),
+    ],
+)
+def test_cli_run_invalid_yaml_is_one_error_line(tmp_path, capsys, text, where):
+    # PyYAML's own message spans several lines: the problem, its mark and a caret
+    cfg_path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: config {cfg_path} is not valid YAML: "), err
+    assert err[0].endswith(where)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_cli_world_build_error_under_jobs_exits_1(tmp_path, capfd, command):
     # capfd, not capsys: a worker's traceback would go to file descriptor 2

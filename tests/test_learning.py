@@ -45,6 +45,41 @@ def test_make_dataset_validation():
 
 # --------------------------------------------------------- dirichlet_partition
 
+def test_train_split_size_equals_the_per_class_sum():
+    # make_dataset's per-class split, summed class by class, over a grid that
+    # includes fewer samples than classes (where the counts go negative)
+    def per_class_sum(num_samples, classes_k):
+        base, rem = divmod(num_samples, classes_k)
+        total = 0
+        for k in range(classes_k):
+            count = base + (1 if k < rem else 0)
+            total += count - max(1, round(0.2 * count))
+        return total
+
+    for num_samples, classes_k in itertools.product(range(0, 400, 3), range(1, 70)):
+        assert learning.train_split_size(num_samples, classes_k) == per_class_sum(
+            num_samples, classes_k
+        ), (num_samples, classes_k)
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        classes_k = int(rng.integers(1, 2000))
+        num_samples = int(rng.integers(0, 100 * classes_k))
+        assert learning.train_split_size(num_samples, classes_k) == per_class_sum(
+            num_samples, classes_k
+        ), (num_samples, classes_k)
+    for n in (2_000, 4_000, 12_345):
+        assert learning.train_split_size(n, 10) == len(
+            learning.make_dataset(n, 2, 10, 1.0, 0).train_idx
+        )
+
+
+def test_train_split_size_takes_constant_time():
+    # a sum over 10**15 classes would never return
+    assert learning.train_split_size(5 * 10**15, 10**15) == 4 * 10**15
+    # three classes of 6 samples train on 5 each, the rest of 5 on 4 each
+    assert learning.train_split_size(5 * 10**15 + 3, 10**15) == 4 * 10**15 + 3
+
+
 def test_partition_is_a_partition():
     ds = learning.make_dataset(500, 8, 5, 1.0, 1)
     shards = learning.dirichlet_partition(ds, 12, 0.5, 2)
@@ -211,6 +246,42 @@ def test_local_train_matches_loop_oracle_bytes():
         params = rng.normal(size=learning.num_params(classes_k, d))
         args = (params, np.empty((0, d)), np.empty(0, dtype=np.int64), classes_k, 2, 4, 0.05, 1)
         assert learning.local_train(*args).tobytes() == oracles.loop_local_train(*args).tobytes()
+
+
+def test_one_row_shard_does_not_depend_on_the_seed():
+    # a permutation of one row is that row, so no seed can change the delta
+    rng = np.random.default_rng(2025)
+    seeds = (0, 1, 2**63, (5, 0, 1), np.random.SeedSequence([9, 9, 9]))
+    for trial in range(200):
+        d = int(rng.integers(1, 65))
+        classes_k = int(rng.integers(2, 11))
+        X = rng.normal(size=(1, d))
+        y = rng.integers(0, classes_k, size=1)
+        params = rng.normal(scale=0.5, size=learning.num_params(classes_k, d))
+        args = (params, X, y, classes_k, int(rng.integers(0, 4)),
+                int(rng.integers(1, 5)), float(rng.choice([0.0, 0.05, 3.0])))
+        want = oracles.loop_local_train(*args, trial).tobytes()
+        for seed in seeds:
+            assert learning.local_train(*args, seed).tobytes() == want, (trial, seed)
+
+
+def test_entropy_tuple_seeds_like_its_seed_sequence():
+    # run_round passes (run_seed, round, client); SeedSequence([...]) of the same
+    # three numbers must train to the same bytes on every shard size
+    rng = np.random.default_rng(2026)
+    for trial in range(300):
+        n = int(rng.integers(0, 40))
+        d = int(rng.integers(1, 17))
+        classes_k = int(rng.integers(2, 8))
+        X = rng.normal(size=(n, d))
+        y = rng.integers(0, classes_k, size=n)
+        params = rng.normal(scale=0.5, size=learning.num_params(classes_k, d))
+        args = (params, X, y, classes_k, int(rng.integers(1, 4)), int(rng.integers(1, 9)), 0.05)
+        a, b, c = (int(v) for v in rng.integers(0, 2**32, size=3))
+        from_tuple = learning.local_train(*args, (a, b, c)).tobytes()
+        from_seed_sequence = learning.local_train(*args, np.random.SeedSequence([a, b, c]))
+        assert from_tuple == from_seed_sequence.tobytes()
+        assert from_tuple == oracles.loop_local_train(*args, (a, b, c)).tobytes()
 
 
 def test_local_train_validation():

@@ -56,6 +56,25 @@ def test_update_history_appends_failure_as_previous_round():
     assert len(client_availability(state, 0)) == 6
 
 
+def test_update_history_stores_an_ndarray_ping_like_a_list():
+    # run_experiment hands over a bool ndarray; tests and callers may pass lists
+    rng = np.random.default_rng(17)
+    from_list, from_array = SelectorState(9), SelectorState(9)
+    for r in range(12):
+        ping = [bool(v) for v in rng.integers(0, 2, size=9)]
+        failed = [c for c in from_list.available_clients(r - 1) if rng.random() < 0.3] if r else []
+        array = np.array(ping, dtype=bool)
+        update_history(from_list, r, r * 10.0, ping, failed)
+        update_history(from_array, r, r * 10.0, array, failed)
+        array[:] = ~array   # the state keeps a copy, not the caller's array
+        row_list, row_array = from_list._rows[r], from_array._rows[r]
+        assert row_array.dtype == row_list.dtype == np.bool_
+        assert row_array.tobytes() == row_list.tobytes() == np.array(ping).tobytes()
+        assert from_array.available_clients(r) == from_list.available_clients(r)
+    for c in range(9):
+        assert client_failures(from_array, c) == client_failures(from_list, c)
+
+
 def test_update_history_guards():
     state = SelectorState(2)
     update_history(state, 0, 0.0, [True, True], [])

@@ -40,6 +40,26 @@ def test_is_available_examples():
     assert is_available(AvailabilityTrace(False, (10.0, 20.0), 1000.0), 15.0) is True
 
 
+def test_is_available_returns_exactly_bool():
+    # both start states x both flip parities, with t between flips and exactly
+    # on a flip (which already counts); the state is start XOR parity
+    flips = (10.0, 20.0, 30.0)
+    cases = [(0.0, 0), (5.0, 0), (10.0, 1), (15.0, 1), (20.0, 2), (25.0, 2), (30.0, 3), (99.0, 3)]
+    for start in (False, True):
+        trace = AvailabilityTrace(start, flips, 100.0)
+        for t, count in cases:
+            got = is_available(trace, t)
+            assert type(got) is bool, (start, t)
+            assert got is (start != (count % 2 == 1)), (start, t)
+    rng = np.random.default_rng(77)
+    for _ in range(200):
+        trace = random_trace(rng)
+        for t in list(trace.transitions) + rng.uniform(0.0, trace.horizon_s, size=5).tolist():
+            got = is_available(trace, t)
+            assert type(got) is bool
+            assert got == oracles.scan_available(trace.start_available, trace.transitions, t)
+
+
 def test_is_available_out_of_range():
     trace = AvailabilityTrace(True, (), 100.0)
     with pytest.raises(ValueError):
