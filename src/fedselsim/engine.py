@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import statistics
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -23,6 +22,7 @@ from .traces import (
     build_scenario,
     generate_pool,
     is_available,
+    next_flip,
     parse_trace_file,
     rank_traces,
 )
@@ -59,12 +59,16 @@ class RoundOutcome:
 
 @dataclass
 class World:
-    """Everything the round loop needs, deterministically built from config."""
+    """Everything the round loop reads, deterministically built from config.
+
+    rows[c] holds client c's shard as C-contiguous (features, labels) views into
+    one block gathered once, in client order; test holds the test split's pair.
+    """
 
     client_ids: list[str]        # client c's entry in every per-client list
     traces: list[AvailabilityTrace]
-    dataset: learning.Dataset
-    shards: list[np.ndarray]
+    rows: list[tuple[np.ndarray, np.ndarray]]
+    test: tuple[np.ndarray, np.ndarray]
     round_times: list[float]
     horizon_s: float
     digest: str
@@ -220,33 +224,23 @@ def build_world(cfg: ExperimentConfig) -> World:
                 f"{profiles[slowest].client_id}) while strict_availability_failures is on"
             )
 
+    gathered = np.concatenate(shards)
+    features, labels = dataset.features[gathered], dataset.labels[gathered]
+    ends = np.cumsum([len(shard) for shard in shards]).tolist()
     return World(
         client_ids=[profile.client_id for profile in profiles],
         traces=assigned,
-        dataset=dataset,
-        shards=shards,
+        rows=[(features[a:b], labels[a:b]) for a, b in zip([0] + ends, ends)],
+        test=(dataset.features[dataset.test_idx], dataset.labels[dataset.test_idx]),
         round_times=round_times,
         horizon_s=min(trace.horizon_s for trace in assigned),
         digest=_world_digest(profiles, assigned, shards),
     )
 
 
-def _client_fails(trace, clock: float, t_c: float, timeout: float) -> bool:
-    # Fails if too slow outright, or if the first availability flip after the
-    # selection instant lands inside (clock, clock + min(t_c, timeout)].
-    if t_c > timeout:
-        return True
-    window_end = clock + min(t_c, timeout)
-    i = bisect_right(trace.transitions, clock)
-    return i < len(trace.transitions) and trace.transitions[i] <= window_end
-
-
 def _accuracy(world: World, model: np.ndarray, classes_k: int) -> float:
     """Test-set accuracy of model, in percent."""
-    test = world.dataset.test_idx
-    return 100.0 * learning.evaluate(
-        model, world.dataset.features[test], world.dataset.labels[test], classes_k
-    )
+    return 100.0 * learning.evaluate(model, *world.test, classes_k)
 
 
 def run_round(
@@ -271,10 +265,12 @@ def run_round(
         outcome = RoundOutcome(round_index, clock, timeout, (), (), True, None)
         return outcome, model, clock + timeout
 
+    # Too slow outright, or the first flip after the start lands in (clock, clock + t_c].
     failed = tuple(
         c
         for c in selected
-        if _client_fails(world.traces[c], clock, world.round_times[c], timeout)
+        if world.round_times[c] > timeout
+        or next_flip(world.traces[c], clock) <= clock + world.round_times[c]
     )
     duration = timeout if failed else max(world.round_times[c] for c in selected)
 
@@ -283,12 +279,10 @@ def run_round(
     if survivors:
         deltas = []
         for c in survivors:
-            shard = world.shards[c]
             deltas.append(
                 learning.local_train(
                     model,
-                    world.dataset.features[shard],
-                    world.dataset.labels[shard],
+                    *world.rows[c],
                     task.classes_k,
                     task.epochs,
                     task.batch_size,

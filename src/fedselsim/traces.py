@@ -47,6 +47,12 @@ def is_available(trace: AvailabilityTrace, t: float) -> bool:
     return bisect_right(trace.transitions, t) & 1 != trace.start_available
 
 
+def next_flip(trace: AvailabilityTrace, t: float) -> float:
+    """The first flip after t, or math.inf; like is_available, a flip at t holds at t."""
+    i = bisect_right(trace.transitions, t)
+    return trace.transitions[i] if i < len(trace.transitions) else math.inf
+
+
 def trace_stats(trace: AvailabilityTrace) -> tuple[float, float]:
     """(available fraction in [0, 1], flips per hour) over [0, horizon).
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,12 @@ from fedselsim.traces import AvailabilityTrace, is_available, serialize_trace_fi
 def tiny_world(traces, round_times, horizon=1_000_000.0):
     """A hand-held world: empty shards, explicit round times."""
     dataset = learning.make_dataset(30, 3, 2, 1.0, 0)
+    test = dataset.test_idx
     return World(
         client_ids=[f"c{i}" for i in range(len(traces))],
         traces=list(traces),
-        dataset=dataset,
-        shards=[np.array([], dtype=int) for _ in traces],
+        rows=[(np.empty((0, 3)), np.empty(0, dtype=np.int64)) for _ in traces],
+        test=(dataset.features[test], dataset.labels[test]),
         round_times=list(round_times),
         horizon_s=horizon,
         digest="tiny",
@@ -307,10 +309,7 @@ def test_run_experiment_horizon_guard():
 
 
 def accuracy_of(world, model, classes_k):
-    test = world.dataset.test_idx
-    return 100.0 * learning.evaluate(
-        model, world.dataset.features[test], world.dataset.labels[test], classes_k
-    )
+    return 100.0 * learning.evaluate(model, *world.test, classes_k)
 
 
 def replay(cfg, world, report):
@@ -321,11 +320,9 @@ def replay(cfg, world, report):
     for o in report.rounds:
         deltas = {}
         for c in o.selected:
-            shard = world.shards[c]
             deltas[c] = learning.local_train(
                 model,
-                world.dataset.features[shard],
-                world.dataset.labels[shard],
+                *world.rows[c],
                 cfg.task.classes_k,
                 cfg.task.epochs,
                 cfg.task.batch_size,
@@ -366,6 +363,30 @@ def test_skipped_last_round_reports_the_final_model(tmp_path):
     assert [r for r, _, _ in report.accuracy_curve] == [4]
     model, _ = replay(cfg, world, report)
     assert report.metrics["accuracy_mean"] == accuracy_of(world, model, cfg.task.classes_k)
+
+
+def test_world_rows_and_test_are_the_gathered_splits():
+    # The shards are rebuilt here from the task and seeds, apart from
+    # build_world; alpha 0.05 over 40 clients leaves shards of 0 and 1 rows.
+    cfg = small_cfg(num_clients=40)
+    cfg.task.alpha = 0.05
+    task = cfg.task
+    dataset = learning.make_dataset(
+        task.num_samples, task.features_d, task.classes_k, task.class_sep, task.seed
+    )
+    shards = learning.dirichlet_partition(dataset, 40, task.alpha, cfg.seeds.partition_seed)
+    assert {0, 1} <= {len(shard) for shard in shards}
+    expected = [(dataset.features[shard], dataset.labels[shard]) for shard in shards]
+    expected.append((dataset.features[dataset.test_idx], dataset.labels[dataset.test_idx]))
+    world = build_world(cfg)
+    # --jobs workers receive the World pickled
+    for w in (world, pickle.loads(pickle.dumps(world))):
+        assert len(w.rows) == len(shards)
+        for got, want in zip([*w.rows, w.test], expected, strict=True):
+            for a, b in zip(got, want, strict=True):
+                assert a.flags.c_contiguous
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
 
 
 def test_strict_timeout_cross_check():

@@ -15,6 +15,7 @@ from fedselsim.traces import (
     generate_pool,
     generate_trace,
     is_available,
+    next_flip,
     parse_trace_file,
     rank_traces,
     serialize_trace_file,
@@ -66,6 +67,24 @@ def test_is_available_out_of_range():
         is_available(trace, -1.0)
     with pytest.raises(ValueError):
         is_available(trace, 100.5)
+
+
+def test_next_flip_matches_brute_force():
+    # t exactly on a flip, before the first, after the last, and flip-free traces
+    rng = np.random.default_rng(31)
+    with_flips = 0
+    for _ in range(300):
+        trace = random_trace(rng)
+        flips = trace.transitions
+        queries = [0.0, trace.horizon_s, *flips, *rng.uniform(0.0, trace.horizon_s, size=5)]
+        if flips:
+            queries += [flips[0] / 2, (flips[-1] + trace.horizon_s) / 2]
+            with_flips += 1
+        for t in queries:
+            assert next_flip(trace, t) == min((x for x in flips if x > t), default=math.inf)
+    assert 0 < with_flips < 300
+    assert next_flip(AvailabilityTrace(True, (), 10.0), 5.0) == math.inf
+    assert next_flip(AvailabilityTrace(True, (4.0, 6.0), 10.0), 4.0) == 6.0
 
 
 def test_is_available_matches_scan_oracle():
