@@ -11,6 +11,7 @@ from pathlib import Path
 from .config import SELECTOR_KINDS, load_config
 from .engine import (
     METRIC_ROWS,
+    REPORT_VERSION,
     Comparison,
     compare_selectors,
     round_log_rows,
@@ -46,9 +47,11 @@ def _print_summary(rows: dict[str, tuple[float, float | None]]) -> None:
 
 
 def _resolve_seeds(cfg, args) -> list[int]:
-    if args.seed_override is not None:
-        return [args.seed_override]
-    return list(cfg.seeds.run_seeds)
+    if args.seed_override is None:
+        return list(cfg.seeds.run_seeds)
+    if args.seed_override < 0:
+        raise ConfigError(f"--seed-override must be >= 0, got {args.seed_override}")
+    return [args.seed_override]
 
 
 def _jobs(args) -> int:
@@ -68,7 +71,7 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if "json" in cfg.output.formats:
         document = {
-            "report_version": 1,
+            "report_version": REPORT_VERSION,
             "run_seeds": seeds,
             "summary": {
                 label: {"value": value, "std": spread}

@@ -6,6 +6,7 @@ The synthesis bounds (CapabilityBounds) are a config section, defined in `config
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +25,10 @@ class ClientProfile:
     up_bw_Bps: float
 
     def __post_init__(self):
-        if self.time_per_sample_s <= 0:
-            raise ValueError(f"{self.client_id}: time_per_sample must be > 0")
-        if self.down_bw_Bps <= 0 or self.up_bw_Bps <= 0:
-            raise ValueError(f"{self.client_id}: bandwidths must be > 0")
+        for name in ("time_per_sample_s", "down_bw_Bps", "up_bw_Bps"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{self.client_id}: {name} must be finite and > 0, got {value}")
 
 
 def round_time(

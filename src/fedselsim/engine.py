@@ -29,6 +29,9 @@ from .traces import (
 
 log = logging.getLogger(__name__)
 
+# The schema version of report documents (ExperimentReport.to_dict, cli run).
+REPORT_VERSION = 1
+
 REPORT_NOTES = (
     "training_time_s sums simulated round durations only; "
     "evaluation overhead is excluded."
@@ -89,7 +92,7 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         ids = self.client_ids
         return {
-            "report_version": 1,
+            "report_version": REPORT_VERSION,
             "selector": self.selector,
             "run_seed": self.run_seed,
             "world_digest": self.world_digest,

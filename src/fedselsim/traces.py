@@ -29,8 +29,8 @@ class AvailabilityTrace:
     horizon_s: float
 
     def __post_init__(self):
-        if self.horizon_s <= 0:
-            raise ValueError(f"horizon_s must be > 0, got {self.horizon_s}")
+        if not 0 < self.horizon_s < math.inf:
+            raise ValueError(f"horizon_s must be finite and > 0, got {self.horizon_s}")
         prev = -1.0
         for t in self.transitions:
             if not 0.0 <= t <= self.horizon_s:
@@ -237,8 +237,8 @@ def parse_trace_file(text: str) -> list[AvailabilityTrace]:
                 horizon = float(fields[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad horizon value {fields[1]!r}") from None
-            if horizon <= 0:
-                raise ParseError(f"line {lineno}: horizon must be > 0")
+            if not 0 < horizon < math.inf:
+                raise ParseError(f"line {lineno}: horizon must be finite and > 0, got {horizon}")
             continue
         if horizon is None:
             raise ParseError(f"line {lineno}: trace data before the !horizon header")

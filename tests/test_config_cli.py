@@ -12,9 +12,10 @@ import pytest
 import yaml
 
 import oracles
+from fedselsim import engine
 from fedselsim.cli import main
 from fedselsim.config import SELECTOR_KINDS, ExperimentConfig, config_from_dict, load_config
-from fedselsim.engine import ROUND_LOG_COLUMNS, synthetic_pool
+from fedselsim.engine import ROUND_LOG_COLUMNS, run_experiment, synthetic_pool
 from fedselsim.errors import ConfigError
 from fedselsim.traces import parse_trace_file
 
@@ -524,6 +525,42 @@ def test_cli_rejects_jobs_below_one(tmp_path, capsys, command, jobs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_rejects_negative_seed_override(tmp_path, capsys, monkeypatch, command):
+    def build_world(cfg):
+        raise AssertionError("the world was built before the seed was checked")
+
+    monkeypatch.setattr(engine, "build_world", build_world)
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--out", str(out), "--seed-override", "-1"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --seed-override must be >= 0, got -1"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, text, message",
+    [
+        (
+            "scenario:\n  source: file\n  trace_file: {path}\n",
+            "!horizon nan\nc0 1\n",
+            "error: line 1: horizon must be finite and > 0, got nan",
+        ),
+        (
+            "population:\n  capability_source: file\n  capability_file: {path}\n",
+            "c0 nan 1e6 5e5\n",
+            "error: line 1: c0: time_per_sample_s must be finite and > 0, got nan",
+        ),
+    ],
+)
+def test_cli_run_non_finite_input_file_is_one_error_line(tmp_path, capsys, section, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    cfg_path = write_cfg(tmp_path, "round:\n  num_rounds: 3\n" + section.format(path=path))
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
 def test_cli_run_short_horizon_exits_2(tmp_path, capsys):
     # Round 0 fits (150 s >= the 120 s timeout), but every round lasts at least
     # the fastest client's ~7 s, so by round 5 the next deadline passes 150 s.
@@ -713,6 +750,24 @@ def test_cli_gen_traces_round_trips(tmp_path, capsys):
     assert parsed == synthetic_pool(load_config(cfg_path))
     assert len(parsed) == 36  # 3 * num_clients
     assert "wrote 36 traces" in capsys.readouterr().out
+
+
+def test_frozen_world_replays_the_synthetic_world(tmp_path):
+    # gen-traces freezes the world's trace pool; a run on that file through
+    # scenario.source: file must be the synthetic run.
+    text = BASE_YAML.replace("num_rounds: 8", "num_rounds: 50") + (
+        "selector:\n  kind: mda\nscenario:\n  kind: low\n"
+    )
+    cfg_path, traces = write_cfg(tmp_path, text), tmp_path / "traces.txt"
+    assert main(["gen-traces", "--config", cfg_path, "--out", str(traces)]) == 0
+    frozen = text.replace("  kind: low\n", f"  kind: low\n  source: file\n  trace_file: {traces}\n")
+    synthetic = run_experiment(load_config(cfg_path), 1)
+    replayed = run_experiment(load_config(write_cfg(tmp_path, frozen, "frozen.yaml")), 1)
+    assert replayed.config["scenario"]["source"] == "file"
+    assert any(o.failed for o in synthetic.rounds)
+    assert replayed.world_digest == synthetic.world_digest
+    assert replayed.rounds == synthetic.rounds
+    assert replayed.metrics == synthetic.metrics
 
 
 def test_cli_gen_traces_default_location(tmp_path):

@@ -93,6 +93,9 @@ def test_parse_capability_comments():
         ("c1 0.05 1e6 5e5\nc1 0.1 1e6 5e5\n", "line 2"),  # duplicate id
         ("c1 fast 1e6 5e5\n", "line 1"),                  # non-numeric
         ("c1 -0.05 1e6 5e5\n", "line 1"),                 # invalid value
+        ("c0 nan 1e6 5e5\n", "line 1: c0: time_per_sample_s must be finite"),
+        ("c0 0.05 inf 5e5\n", "line 1: c0: down_bw_Bps must be finite"),
+        ("c0 0.05 1e6 nan\n", "line 1: c0: up_bw_Bps must be finite"),
     ],
 )
 def test_parse_capability_errors(text, fragment):

@@ -403,6 +403,9 @@ def test_serialize_parse_roundtrip():
         ("!horizon -5\n", "line 1"),                       # non-positive horizon
         ("# nothing\n", "horizon"),                        # no header at all
         ("!horizon 1000\nc1 1 100\nc1 0\n", "line 3: duplicate client id 'c1'"),
+        ("!horizon nan\nc1 1\n", "line 1: horizon must be finite"),
+        ("!horizon inf\nc1 1 100\n", "line 1: horizon must be finite"),
+        ("!horizon 1000\nc1 1 nan\n", "line 2"),             # NaN timestamp
     ],
 )
 def test_parse_trace_file_errors(text, fragment):
