@@ -334,6 +334,24 @@ def loop_generate_trace(params, horizon_s, rng_seed):
     return start, tuple(flips)
 
 
+# The per-flip check of `AvailabilityTrace.__post_init__` that the one pass over
+# the trace table replaced, copied unchanged apart from taking the flips and the
+# horizon as arguments in place of `self`. The package must raise exactly when
+# this raises, with the same message.
+
+
+def loop_check_trace(transitions, horizon_s):
+    if not 0 < horizon_s < math.inf:
+        raise ValueError(f"horizon_s must be finite and > 0, got {horizon_s}")
+    prev = -1.0
+    for t in transitions:
+        if not 0.0 <= t <= horizon_s:
+            raise ValueError(f"transition {t} outside [0, {horizon_s}]")
+        if t <= prev:
+            raise ValueError(f"transitions must be strictly increasing (at {t})")
+        prev = t
+
+
 # The per-batch local SGD that the package's per-epoch-gather trainer replaced,
 # copied unchanged apart from its name, a private copy of `_unpack`, and the
 # empty-shard debug log line it no longer has a logger for. The package must
