@@ -352,6 +352,26 @@ def loop_check_trace(transitions, horizon_s):
         prev = t
 
 
+# The per-flip `trace_stats` that the ranking over the trace table replaced,
+# copied unchanged apart from its name and from taking the start state, flips
+# and horizon as arguments in place of a trace. The package must give the same
+# (fraction, flips per hour) pair, bit for bit.
+
+
+def loop_trace_stats(start_available, transitions, horizon_s):
+    up = 0.0
+    state = start_available
+    prev = 0.0
+    for t in transitions:
+        if state:
+            up += t - prev
+        state = not state
+        prev = t
+    if state:
+        up += horizon_s - prev
+    return up / horizon_s, len(transitions) / (horizon_s / 3600.0)
+
+
 # The per-batch local SGD that the package's per-epoch-gather trainer replaced,
 # copied unchanged apart from its name, a private copy of `_unpack`, and the
 # empty-shard debug log line it no longer has a logger for. The package must
