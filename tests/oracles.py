@@ -334,6 +334,41 @@ def loop_generate_trace(params, horizon_s, rng_seed):
     return start, tuple(flips)
 
 
+# The per-trace block-drawn generator that the class-by-class table build
+# replaced, copied unchanged apart from its name, a private copy of
+# `_MAX_BLOCK` and its return value (the start state and the flips, not an
+# AvailabilityTrace). The package must match it exactly, trace by trace.
+
+_MAX_BLOCK = 4096
+
+
+def block_generate_trace(params, horizon_s, rng_seed):
+    if not 0 < horizon_s < math.inf:
+        raise ValueError(f"horizon_s must be finite and > 0, got {horizon_s}")
+    rng = np.random.default_rng(rng_seed)
+    state = bool(rng.random() < params.start_available_prob)
+    first, second = (
+        (params.mean_up_s, params.mean_down_s) if state else (params.mean_down_s, params.mean_up_s)
+    )
+    expected = min(float(_MAX_BLOCK), 2.0 * horizon_s / (first + second))
+    k = min(_MAX_BLOCK, 2 * (int(expected + 3.0 * expected**0.5) // 2 + 4))
+    blocks: list[np.ndarray] = []
+    t = 0.0
+    while True:
+        times = rng.standard_exponential(k)
+        times[0::2] *= first
+        times[1::2] *= second
+        times[0] += t
+        times.cumsum(out=times)
+        cut = int(times.searchsorted(horizon_s))
+        if cut < k:
+            blocks.append(times[:cut])
+            break
+        blocks.append(times)
+        t = float(times[-1])
+    return state, tuple(np.concatenate(blocks).tolist())
+
+
 # The per-flip check of `AvailabilityTrace.__post_init__` that the one pass over
 # the trace table replaced, copied unchanged apart from taking the flips and the
 # horizon as arguments in place of `self`. The package must raise exactly when
