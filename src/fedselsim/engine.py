@@ -19,6 +19,7 @@ from .errors import ConfigError, SimulationError
 from .selectors import SelectorState, make_selector, update_history
 from .traces import (
     AvailabilityTrace,
+    TraceTable,
     build_scenario,
     generate_pool,
     is_available,
@@ -146,9 +147,10 @@ def _read_input(path: str, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
-def _world_digest(profiles, traces, shards) -> str:
+def _world_digest(profiles, pool: TraceTable, picks: list[int], shards) -> str:
+    """Client c is hashed with trace picks[c] of the pool: its flips are a table slice."""
     h = hashlib.sha256()
-    for profile, trace, shard in zip(profiles, traces, shards):
+    for profile, i, shard in zip(profiles, picks, shards):
         h.update(profile.client_id.encode())
         h.update(
             np.array(
@@ -156,17 +158,17 @@ def _world_digest(profiles, traces, shards) -> str:
                     profile.time_per_sample_s,
                     profile.down_bw_Bps,
                     profile.up_bw_Bps,
-                    float(trace.start_available),
-                    trace.horizon_s,
+                    float(pool.start[i]),
+                    pool.horizon_s,
                 ]
             ).tobytes()
         )
-        h.update(np.asarray(trace.transitions, dtype=np.float64).tobytes())
+        h.update(pool.flips[pool.offsets[i] : pool.offsets[i + 1]].tobytes())
         h.update(np.asarray(shard, dtype=np.int64).tobytes())
     return h.hexdigest()
 
 
-def synthetic_pool(cfg: ExperimentConfig):
+def synthetic_pool(cfg: ExperimentConfig) -> TraceTable:
     """The synthetic trace pool exactly as build_world generates it."""
     seed_tracegen = np.random.SeedSequence(cfg.seeds.scenario_seed).spawn(3)[0]
     syn = cfg.scenario.synthetic
@@ -180,14 +182,20 @@ def build_world(cfg: ExperimentConfig) -> World:
     _, seed_assign, seed_caps = np.random.SeedSequence(cfg.seeds.scenario_seed).spawn(3)
 
     if cfg.scenario.source == "file":
-        pool = parse_trace_file(_read_input(cfg.scenario.trace_file, "trace file"))
+        path = cfg.scenario.trace_file
+        traces = parse_trace_file(_read_input(path, "trace file"))
+        if not traces:
+            raise ConfigError(f"trace file {path} holds no traces")
+        pool = TraceTable.from_traces(traces)
     else:
         pool = synthetic_pool(cfg)
 
-    ranked = [pool[i] for i in rank_traces(pool)]
-    assigned = build_scenario(
-        ranked, cfg.scenario.kind, num_clients, cfg.scenario.mix, seed_assign
+    # build_scenario draws from the pool's indices in rank order, so only the
+    # assigned traces become AvailabilityTrace objects.
+    picks = build_scenario(
+        rank_traces(pool), cfg.scenario.kind, num_clients, cfg.scenario.mix, seed_assign
     )
+    assigned = [pool[i] for i in picks]
 
     if cfg.population.capability_source == "file":
         profiles = parse_capability_file(
@@ -236,8 +244,8 @@ def build_world(cfg: ExperimentConfig) -> World:
         rows=[(features[a:b], labels[a:b]) for a, b in zip([0] + ends, ends)],
         test=(dataset.features[dataset.test_idx], dataset.labels[dataset.test_idx]),
         round_times=round_times,
-        horizon_s=min(trace.horizon_s for trace in assigned),
-        digest=_world_digest(profiles, assigned, shards),
+        horizon_s=pool.horizon_s,
+        digest=_world_digest(profiles, pool, picks, shards),
     )
 
 

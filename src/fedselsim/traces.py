@@ -1,20 +1,65 @@
 """Client availability traces: synthesis, ingestion, ranking, and scenario building.
 
-The synthesis knobs (TraceClassParams) are a config section, defined in `config`.
-`trace_stats` gives a trace's (available fraction, flips per hour) pair, which is
-`rank_traces`' sort key.
+A pool of traces is one `TraceTable`: a start state per trace, int64 offsets and
+every flip in one float64 array. `generate_pool` builds it class by class,
+`rank_traces` orders it by each trace's (available fraction, flips per hour),
+and `build_scenario` picks the traces that become the clients' own
+`AvailabilityTrace`s. `trace_stats` and `generate_trace` are the one-trace cases
+of the table code. The synthesis knobs (TraceClassParams) are a config section,
+defined in `config`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, compress
 
 import numpy as np
 
 from .config import SCENARIO_KINDS, TraceClassParams
 from .errors import ConfigError, ParseError
+
+# Largest number of durations drawn at once for one trace; bounds temporary
+# memory on very long traces. Must be even so that each block starts in the
+# same phase.
+_MAX_BLOCK = 4096
+
+# Elements of one temporary (traces x width) block of the table code, so that
+# large pools are worked through in pieces of about 512 KiB.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _check_horizon(horizon_s: float) -> None:
+    if not 0 < horizon_s < math.inf:
+        raise ValueError(f"horizon_s must be finite and > 0, got {horizon_s}")
+
+
+def _check_flips(flips: np.ndarray, horizon_s: float, offsets: np.ndarray | None = None) -> None:
+    """Raise ValueError at the first flip outside [0, horizon_s] or not above the one before it.
+
+    `offsets` splits `flips` into traces (one trace when None); a trace's first
+    flip has nothing before it. The message is that of the first failing
+    flip in order, as a flip-by-flip check would raise it.
+    """
+    _check_horizon(horizon_s)
+    in_range = (flips >= 0.0) & (flips <= horizon_s)   # False for NaN
+    rising = flips[1:] > flips[:-1]
+    if offsets is not None:
+        firsts = offsets[1:-1]
+        rising[firsts[(firsts > 0) & (firsts < len(flips))] - 1] = True
+    ok = in_range.copy()
+    ok[1:] &= rising
+    if ok.all():
+        return
+    i = int(np.argmin(ok))
+    t = flips[i].item()
+    if not in_range[i]:
+        raise ValueError(f"transition {t} outside [0, {horizon_s}]")
+    raise ValueError(f"transitions must be strictly increasing (at {t})")
 
 
 @dataclass(frozen=True)
@@ -29,15 +74,71 @@ class AvailabilityTrace:
     horizon_s: float
 
     def __post_init__(self):
-        if not 0 < self.horizon_s < math.inf:
-            raise ValueError(f"horizon_s must be finite and > 0, got {self.horizon_s}")
-        prev = -1.0
-        for t in self.transitions:
-            if not 0.0 <= t <= self.horizon_s:
-                raise ValueError(f"transition {t} outside [0, {self.horizon_s}]")
-            if t <= prev:
-                raise ValueError(f"transitions must be strictly increasing (at {t})")
-            prev = t
+        _check_flips(np.array(self.transitions, dtype=np.float64), self.horizon_s)
+
+    @classmethod
+    def _of_checked(cls, start_available: bool, transitions: tuple, horizon_s: float):
+        """A row of a TraceTable, which checked it when it was built; not checked again."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "start_available", start_available)
+        object.__setattr__(trace, "transitions", transitions)
+        object.__setattr__(trace, "horizon_s", horizon_s)
+        return trace
+
+
+@dataclass(frozen=True, eq=False)
+class TraceTable(Sequence):
+    """A pool of traces sharing one horizon, as arrays.
+
+    Trace i starts in state `start[i]` and flips at
+    `flips[offsets[i]:offsets[i + 1]]`. Building a table checks every flip in
+    one pass, with AvailabilityTrace's rules and messages, and then makes the
+    three arrays read-only. Item i is trace i as an AvailabilityTrace, and a
+    table equals any sequence of equal traces.
+    """
+
+    start: np.ndarray     # bool, one per trace
+    offsets: np.ndarray   # int64, len(start) + 1
+    flips: np.ndarray     # float64, offsets[-1]
+    horizon_s: float
+
+    def __post_init__(self):
+        _check_flips(self.flips, self.horizon_s, self.offsets)
+        for array in (self.start, self.offsets, self.flips):
+            array.flags.writeable = False
+
+    @classmethod
+    def from_traces(cls, traces: Sequence[AvailabilityTrace]) -> TraceTable:
+        if not traces:
+            raise ValueError("a trace table needs at least one trace")
+        horizon = traces[0].horizon_s
+        if any(tr.horizon_s != horizon for tr in traces):
+            raise ValueError("all traces in one table must share a horizon")
+        counts = np.fromiter((len(tr.transitions) for tr in traces), np.int64, len(traces))
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        return cls(
+            np.fromiter((tr.start_available for tr in traces), bool, len(traces)),
+            offsets,
+            np.fromiter(
+                chain.from_iterable(tr.transitions for tr in traces), np.float64, offsets[-1]
+            ),
+            horizon,
+        )
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def __getitem__(self, i) -> AvailabilityTrace:
+        i = range(len(self))[operator.index(i)]
+        flips = self.flips[self.offsets[i] : self.offsets[i + 1]]
+        return AvailabilityTrace._of_checked(
+            bool(self.start[i]), tuple(flips.tolist()), self.horizon_s
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 def is_available(trace: AvailabilityTrace, t: float) -> bool:
@@ -53,33 +154,61 @@ def next_flip(trace: AvailabilityTrace, t: float) -> float:
     return trace.transitions[i] if i < len(trace.transitions) else math.inf
 
 
+def _table_stats(table: TraceTable) -> tuple[np.ndarray, np.ndarray]:
+    """Each trace's (available fraction, flips per hour) over [0, horizon).
+
+    The up time adds the trace's up segments left to right, as a flip-by-flip
+    walk does (`loop_trace_stats` in `tests/oracles.py`), so the pair is bit
+    for bit the walk's. Traces are laid out as padded rows, widest first, of
+    their edges: the flips, then the horizon repeated. A row's differences are
+    its segments, each computed as the walk computes it, and padding adds
+    segments of 0.0, which change no sum. Segment j is up when the start state
+    is, flipped j times, so `cumsum` along the even segments gives the up time
+    of a trace that starts up, and along the odd ones that of the rest.
+    """
+    horizon = table.horizon_s
+    counts = np.diff(table.offsets)
+    edges_of = np.append(table.flips, horizon)   # past its last flip, a row reads this
+    up = np.empty(len(counts))
+    widest_first = np.argsort(-counts, kind="stable")
+    lo = 0
+    while lo < len(counts):
+        width = int(counts[widest_first[lo]]) + 2   # at least one even and one odd segment
+        rows = widest_first[lo : lo + max(1, _BLOCK_ELEMENTS // width)]
+        cols = np.arange(width)
+        at = np.where(
+            cols < counts[rows, None], table.offsets[rows, None] + cols, len(table.flips)
+        )
+        segments = np.diff(edges_of[at], axis=1, prepend=0.0)
+        up[rows] = np.where(
+            table.start[rows],
+            segments[:, 0::2].cumsum(axis=1)[:, -1],
+            segments[:, 1::2].cumsum(axis=1)[:, -1],
+        )
+        lo += len(rows)
+    return up / horizon, counts / (horizon / 3600.0)
+
+
 def trace_stats(trace: AvailabilityTrace) -> tuple[float, float]:
     """(available fraction in [0, 1], flips per hour) over [0, horizon).
 
     The fraction integrates the piecewise-constant state exactly.
     """
-    up = 0.0
-    state = trace.start_available
-    prev = 0.0
-    for t in trace.transitions:
-        if state:
-            up += t - prev
-        state = not state
-        prev = t
-    if state:
-        up += trace.horizon_s - prev
-    return up / trace.horizon_s, len(trace.transitions) / (trace.horizon_s / 3600.0)
+    fraction, rate = _table_stats(TraceTable.from_traces([trace]))
+    return float(fraction[0]), float(rate[0])
 
 
-def rank_traces(traces: list[AvailabilityTrace]) -> list[int]:
+def rank_traces(traces: Sequence[AvailabilityTrace]) -> list[int]:
     """Indices sorted worst-to-best: fraction ascending, then more flips first.
 
     Flappier traces rank worse on equal fraction; index breaks remaining ties.
+    A TraceTable is ranked as it is; other sequences become one first.
     """
     if not traces:
         raise ValueError("cannot rank an empty trace list")
-    stats = [trace_stats(tr) for tr in traces]
-    return sorted(range(len(traces)), key=lambda i: (stats[i][0], -stats[i][1], i))
+    table = traces if isinstance(traces, TraceTable) else TraceTable.from_traces(traces)
+    fraction, rate = _table_stats(table)
+    return np.lexsort((np.arange(len(table)), -rate, fraction)).tolist()
 
 
 def _blocks(n: int) -> list[tuple[int, int]]:
@@ -90,20 +219,19 @@ def _blocks(n: int) -> list[tuple[int, int]]:
 
 
 def build_scenario(
-    ranked: list[AvailabilityTrace],
-    kind: str,
-    num_clients: int,
-    mix: tuple[float, ...],
-    rng_seed: int,
-) -> list[AvailabilityTrace]:
-    """Draw per-client traces from the worst/middle/best thirds of a ranked pool.
+    ranked: Sequence, kind: str, num_clients: int, mix: tuple[float, ...], rng_seed
+) -> list:
+    """Draw per-client entries from the worst/middle/best thirds of a ranked pool.
 
-    The major mix share comes from the first block for "low", the middle block for
-    "average", the last block for "high". Counts: major = round(f * num_clients); the rest is
-    split across the two minor blocks in proportion to their fractions (evenly when
-    equal), integer remainder going to the later block. Draws are uniform without
-    replacement inside each block. kind, num_clients and mix come from an
-    already validated `config.ScenarioCfg`.
+    `ranked` is the pool in rank order: its traces, or (as build_world passes
+    it) their indices into a TraceTable; the picked entries come back as they
+    are. The major mix share comes from the first block for "low", the middle
+    block for "average", the last block for "high". Counts: major =
+    round(f * num_clients); the rest is split across the two minor blocks in
+    proportion to their fractions (evenly when equal), integer remainder going
+    to the later block. Draws are uniform without replacement inside each
+    block. kind, num_clients and mix come from an already validated
+    `config.ScenarioCfg`.
     """
     if len(ranked) < num_clients:
         raise ConfigError(
@@ -127,7 +255,7 @@ def build_scenario(
     counts[minor_blocks[1]] = remaining - first_share
 
     rng = np.random.default_rng(rng_seed)
-    assigned: list[AvailabilityTrace] = []
+    assigned = []
     for (start, end), count in zip(_blocks(len(ranked)), counts):
         size = end - start
         if count > size:
@@ -140,66 +268,105 @@ def build_scenario(
     return assigned
 
 
-# Largest number of durations drawn at once; bounds temporary memory on very
-# long traces. Must be even so that each block starts in the same phase.
-_MAX_BLOCK = 4096
+def _block_width(params: TraceClassParams, horizon_s: float) -> int:
+    # The expected flip count plus a margin, so most traces need a single
+    # block; a short block only costs another round trip. An infinite horizon
+    # would never end a trace.
+    _check_horizon(horizon_s)
+    expected = min(float(_MAX_BLOCK), 2.0 * horizon_s / (params.mean_up_s + params.mean_down_s))
+    return min(_MAX_BLOCK, 2 * (int(expected + 3.0 * expected**0.5) // 2 + 4))
+
+
+def _generate_rows(params: TraceClassParams, horizon_s: float, seeds: Sequence):
+    """One trace of one class per seed: start states, flip counts, flips in trace order.
+
+    Each trace has its own generator. One `random()` draws its start state;
+    its durations then alternate between the current state's mean and the
+    other's, and each flip lands at the running sum of the durations so far;
+    the first sum that reaches `horizon_s` ends the trace.
+
+    The durations are drawn in blocks of k per trace, but the result is bit for
+    bit that of drawing them one at a time with `t += rng.exponential(mean)`
+    (`loop_generate_trace` in `tests/oracles.py`):
+    `Generator.exponential(scale)` is `scale * standard_exponential()` on the
+    same stream, so a row of `standard_exponential` whose even and odd entries
+    are scaled by the trace's two means holds the same k durations; `cumsum`
+    along the row adds left to right as `t += d` does, starting from the
+    running clock; and draws past the horizon come from the trace's own
+    generator, which is then discarded. k is even, so the phase carries over
+    from one block to the next, and it depends only on the class, so the rows
+    of many traces form one (rows x k) block. Only the traces that fill a
+    block draw another.
+    """
+    k = _block_width(params, horizon_s)
+    block = np.empty((len(seeds), k))
+    rngs, start = [], []
+    for seed, row in zip(seeds, block):
+        rng = np.random.default_rng(seed)
+        start.append(rng.random() < params.start_available_prob)
+        rng.standard_exponential(out=row)
+        rngs.append(rng)
+    start = np.array(start, dtype=bool)
+    first = np.where(start, params.mean_up_s, params.mean_down_s)[:, None]
+    second = np.where(start, params.mean_down_s, params.mean_up_s)[:, None]
+    counts = np.zeros(len(rngs), np.int64)
+    rounds = []   # (rows, their flip counts, their flips) of each round of blocks
+    rows, clock = np.arange(len(rngs)), 0.0
+    while True:
+        block[:, 0::2] *= first[rows]
+        block[:, 1::2] *= second[rows]
+        block[:, 0] += clock
+        block.cumsum(axis=1, out=block)
+        cut = np.count_nonzero(block < horizon_s, axis=1)
+        rounds.append((rows, cut, block[np.arange(k) < cut[:, None]]))
+        counts[rows] += cut
+        full = cut == k
+        if not full.any():
+            break
+        rows, clock, rngs = rows[full], block[full, -1], list(compress(rngs, full))
+        block = np.empty((len(rows), k))
+        for rng, row in zip(rngs, block):
+            rng.standard_exponential(out=row)
+    if len(rounds) == 1:
+        return start, counts, rounds[0][2]
+    # Round j holds each of its rows' flips from j * k on.
+    offsets = np.cumsum(counts) - counts
+    flips = np.empty(counts.sum())
+    for j, (rows, cut, part) in enumerate(rounds):
+        begin = offsets[rows] + j * k
+        flips[np.repeat(begin - (np.cumsum(cut) - cut), cut) + np.arange(len(part))] = part
+    return start, counts, flips
+
+
+def _table(parts, horizon_s: float) -> TraceTable:
+    """The table of consecutive (start states, flip counts, flips) parts."""
+    starts, counts, flips = zip(*parts)
+    counts = np.concatenate(counts)
+    offsets = np.zeros(len(counts) + 1, np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return TraceTable(np.concatenate(starts), offsets, np.concatenate(flips), horizon_s)
 
 
 def generate_trace(params: TraceClassParams, horizon_s: float, rng_seed) -> AvailabilityTrace:
-    """Alternating exponential up/down durations from a Bernoulli start state.
-
-    One `rng.random()` draws the start state. The durations then alternate
-    between the current state's mean and the other's, and each flip lands at
-    the running sum of the durations so far; the first sum that reaches
-    `horizon_s` ends the trace.
-
-    The durations are drawn in blocks, but the result is bit for bit that of
-    drawing them one at a time with `t += rng.exponential(mean)`:
-    `Generator.exponential(scale)` is `scale * standard_exponential()` on the
-    same stream, so a block of `standard_exponential(k)` whose even and odd
-    entries are scaled by the two means holds the same k durations;
-    `cumsum` adds left to right as `t += d` does, starting from the running
-    clock; and draws past the horizon come from this trace's own generator,
-    which is then discarded. Blocks have even length, so the phase carries
-    over from one block to the next.
-    """
-    if not 0 < horizon_s < math.inf:
-        raise ValueError(f"horizon_s must be finite and > 0, got {horizon_s}")
-    rng = np.random.default_rng(rng_seed)
-    state = bool(rng.random() < params.start_available_prob)
-    first, second = (
-        (params.mean_up_s, params.mean_down_s) if state else (params.mean_down_s, params.mean_up_s)
-    )
-    # Size blocks to the expected flip count plus a margin, so most traces
-    # need a single block; a short block only costs another round trip.
-    expected = min(float(_MAX_BLOCK), 2.0 * horizon_s / (first + second))
-    k = min(_MAX_BLOCK, 2 * (int(expected + 3.0 * expected**0.5) // 2 + 4))
-    blocks: list[np.ndarray] = []
-    t = 0.0
-    while True:
-        times = rng.standard_exponential(k)
-        times[0::2] *= first
-        times[1::2] *= second
-        times[0] += t
-        times.cumsum(out=times)
-        cut = int(times.searchsorted(horizon_s))
-        if cut < k:
-            blocks.append(times[:cut])
-            break
-        blocks.append(times)
-        t = float(times[-1])
-    return AvailabilityTrace(state, tuple(np.concatenate(blocks).tolist()), horizon_s)
+    """One trace of the class, drawn from `default_rng(rng_seed)` (see _generate_rows)."""
+    return _table([_generate_rows(params, horizon_s, [rng_seed])], horizon_s)[0]
 
 
 def generate_pool(
     classes: list[TraceClassParams], pool_size: int, horizon_s: float, rng_seed
-) -> list[AvailabilityTrace]:
-    """Generate a pool mixing the given classes by weight (largest-remainder counts)."""
+) -> TraceTable:
+    """Generate a pool mixing the given classes by weight (largest-remainder counts).
+
+    Trace i is `generate_trace` of its class with the i-th seed that
+    `rng_seed` spawns; the classes fill the pool in order.
+    """
     if not classes:
         raise ConfigError("at least one trace class is required")
     total_w = sum(c.weight for c in classes)
     if total_w <= 0:
         raise ConfigError("trace class weights sum to zero")
+    if pool_size < 1:
+        raise ConfigError(f"pool_size must be >= 1, got {pool_size}")
     raw = [c.weight / total_w * pool_size for c in classes]
     counts = [int(x) for x in raw]
     leftovers = sorted(range(len(classes)), key=lambda i: (counts[i] - raw[i], i))
@@ -209,13 +376,17 @@ def generate_pool(
     if not isinstance(rng_seed, np.random.SeedSequence):
         rng_seed = np.random.SeedSequence(rng_seed)
     seeds = rng_seed.spawn(pool_size)
-    pool: list[AvailabilityTrace] = []
-    k = 0
+    parts = []
+    lo = 0
     for params, count in zip(classes, counts):
-        for _ in range(count):
-            pool.append(generate_trace(params, horizon_s, seeds[k]))
-            k += 1
-    return pool
+        class_seeds = seeds[lo : lo + count]
+        step = max(1, _BLOCK_ELEMENTS // _block_width(params, horizon_s))
+        parts.extend(
+            _generate_rows(params, horizon_s, class_seeds[i : i + step])
+            for i in range(0, count, step)
+        )
+        lo += count
+    return _table(parts, horizon_s)
 
 
 def parse_trace_file(text: str) -> list[AvailabilityTrace]:
@@ -262,15 +433,15 @@ def parse_trace_file(text: str) -> list[AvailabilityTrace]:
     return traces
 
 
-def serialize_trace_file(traces: list[AvailabilityTrace]) -> str:
+def serialize_trace_file(traces: Sequence[AvailabilityTrace]) -> str:
     """One `!horizon` header, then `<client_id> <0|1> <t1> <t2> ...` per trace."""
     if not traces:
         raise ValueError("cannot serialize an empty trace list")
     horizon = traces[0].horizon_s
-    if any(tr.horizon_s != horizon for tr in traces):
-        raise ValueError("all traces in one file must share a horizon")
     lines = [f"!horizon {horizon!r}"]
     for i, tr in enumerate(traces):
+        if tr.horizon_s != horizon:
+            raise ValueError("all traces in one file must share a horizon")
         parts = [f"c{i}", "1" if tr.start_available else "0"]
         parts.extend(repr(t) for t in tr.transitions)
         lines.append(" ".join(parts))
