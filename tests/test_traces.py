@@ -11,6 +11,7 @@ from fedselsim.config import DEFAULT_TRACE_CLASSES, TraceClassParams
 from fedselsim.errors import ConfigError, ParseError
 from fedselsim.traces import (
     AvailabilityTrace,
+    TraceTable,
     build_scenario,
     generate_pool,
     generate_trace,
@@ -366,6 +367,183 @@ def test_generate_pool_class_counts():
     assert pool == generate_pool(classes, 10, 1000.0, 4)
     with pytest.raises(ConfigError):
         generate_pool([], 10, 1000.0, 4)
+
+
+# ------------------------------------------------------------------ trace table
+
+def edge_traces(rng, count, horizon=1000.0):
+    """random_trace draws whose first flip is sometimes exactly 0.0, and last exactly the horizon."""
+    pool = []
+    for _ in range(count):
+        trace = random_trace(rng, horizon)
+        flips = list(trace.transitions)
+        if flips and rng.random() < 0.25:
+            flips[0] = 0.0
+        if flips and rng.random() < 0.25:
+            flips[-1] = horizon
+        pool.append(AvailabilityTrace(trace.start_available, tuple(flips), horizon))
+    return pool
+
+
+def raw_table(start, flip_lists, horizon):
+    """A TraceTable from plain lists, so that it is the table's own pass that checks them."""
+    offsets = np.concatenate(([0], np.cumsum([len(f) for f in flip_lists]))).astype(np.int64)
+    flips = np.array([t for f in flip_lists for t in f], dtype=np.float64)
+    return TraceTable(np.array(start, dtype=bool), offsets, flips, horizon)
+
+
+def loop_error(flip_lists, horizon):
+    """The message of the first ValueError a trace-by-trace loop check raises, or None."""
+    try:
+        for flips in flip_lists:
+            oracles.loop_check_trace(flips, horizon)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def mutate(flips, kind, rng, horizon):
+    """flips with one fault of the given kind put in at a random place."""
+    flips = list(flips)
+    i = int(rng.integers(len(flips) + 1)) if kind != "equal pair" else int(rng.integers(len(flips)))
+    if kind == "equal pair":
+        flips.insert(i, flips[i])
+    elif kind == "negative flip":
+        flips.insert(i, -float(rng.uniform(1e-9, horizon)))
+    elif kind == "above the horizon":
+        flips.insert(i, horizon * (1.0 + float(rng.uniform(1e-9, 1.0))))
+    else:
+        flips.insert(i, math.nan)
+    return flips
+
+
+@pytest.mark.parametrize("kind", ["equal pair", "negative flip", "above the horizon", "NaN"])
+def test_table_check_raises_exactly_when_the_loop_does(kind):
+    # Faults in one to three traces of a pool: the table's one pass raises the
+    # loop's first message, and each faulty trace alone raises its own.
+    rng = np.random.default_rng(["equal pair", "negative flip", "above the horizon", "NaN"].index(kind))
+    for _ in range(150):
+        pool = edge_traces(rng, int(rng.integers(1, 12)))
+        start = [tr.start_available for tr in pool]
+        flip_lists = [list(tr.transitions) for tr in pool]
+        assert loop_error(flip_lists, 1000.0) is None
+        assert raw_table(start, flip_lists, 1000.0) == pool
+        candidates = [i for i, f in enumerate(flip_lists) if f or kind != "equal pair"]
+        if not candidates:
+            continue
+        for i in rng.choice(candidates, size=min(len(candidates), int(rng.integers(1, 4))), replace=False):
+            flip_lists[i] = mutate(flip_lists[i], kind, rng, 1000.0)
+            with pytest.raises(ValueError) as one:
+                AvailabilityTrace(start[i], tuple(flip_lists[i]), 1000.0)
+            assert str(one.value) == loop_error([flip_lists[i]], 1000.0)
+        expected = loop_error(flip_lists, 1000.0)
+        assert expected is not None
+        with pytest.raises(ValueError) as caught:
+            raw_table(start, flip_lists, 1000.0)
+        assert str(caught.value) == expected
+
+
+def test_table_check_rejects_the_loops_horizons():
+    for horizon in (0.0, -1.0, math.inf, math.nan):
+        expected = loop_error([[]], horizon)
+        with pytest.raises(ValueError) as caught:
+            raw_table([True], [[]], horizon)
+        assert str(caught.value) == expected
+
+
+def assert_stats_match_loop(table):
+    fraction, rate = traces._table_stats(table)
+    expected = [oracles.loop_trace_stats(tr.start_available, tr.transitions, tr.horizon_s) for tr in table]
+    assert fraction.tobytes() == np.array([e[0] for e in expected]).tobytes()
+    assert rate.tobytes() == np.array([e[1] for e in expected]).tobytes()
+    for tr, pair in zip(table, expected):
+        assert trace_stats(tr) == pair
+
+
+@pytest.mark.parametrize("block_elements", [16, traces._BLOCK_ELEMENTS])
+def test_table_stats_equal_the_loop_bit_for_bit(monkeypatch, block_elements):
+    # Small blocks split the pool into many padded pieces of unequal width.
+    monkeypatch.setattr(traces, "_BLOCK_ELEMENTS", block_elements)
+    cases = [
+        AvailabilityTrace(True, (), 1000.0),
+        AvailabilityTrace(False, (), 1000.0),
+        AvailabilityTrace(True, (0.0,), 1000.0),
+        AvailabilityTrace(False, (0.0, 1000.0), 1000.0),
+        AvailabilityTrace(True, (0.1, 0.2, 1000.0), 1000.0),
+        AvailabilityTrace(False, (1000.0,), 1000.0),
+    ]
+    assert_stats_match_loop(TraceTable.from_traces(cases))
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        assert_stats_match_loop(TraceTable.from_traces(edge_traces(rng, int(rng.integers(1, 40)))))
+
+
+# Generated pools: a class of several-block traces (about 10 000 flips, over
+# 2 * _MAX_BLOCK), one of weight 0 that gets no trace, and two short ones.
+POOL_CLASSES = [
+    TraceClassParams(1.0, 1.0, 0.5, weight=2.0),
+    TraceClassParams(300.0, 300.0, 0.5, weight=0.0),
+    TraceClassParams(300.0, 900.0, 0.0, weight=1.0),
+    TraceClassParams(50.0, 20.0, 1.0, weight=1.0),
+]
+
+
+@pytest.mark.parametrize("block_elements", [16, traces._BLOCK_ELEMENTS])
+def test_generated_pool_matches_the_per_trace_oracle(monkeypatch, block_elements):
+    monkeypatch.setattr(traces, "_BLOCK_ELEMENTS", block_elements)
+    horizon = 10_000.0
+    pool = generate_pool(POOL_CLASSES, 12, horizon, 21)
+    assert isinstance(pool, TraceTable) and len(pool) == 12
+    seeds = np.random.SeedSequence(21).spawn(12)
+    classes = [POOL_CLASSES[0]] * 6 + [POOL_CLASSES[2]] * 3 + [POOL_CLASSES[3]] * 3
+    for trace, params, seed in zip(pool, classes, seeds):
+        assert (trace.start_available, trace.transitions) == oracles.block_generate_trace(
+            params, horizon, seed
+        )
+    assert min(len(pool[i].transitions) for i in range(6)) > 2 * traces._MAX_BLOCK
+    assert {tr.start_available for tr in pool} == {True, False}
+    assert_stats_match_loop(pool)
+
+
+def test_generated_default_pool_matches_the_per_trace_oracle():
+    pool = generate_pool(list(DEFAULT_TRACE_CLASSES), 300, 36_000.0, 4)
+    seeds = np.random.SeedSequence(4).spawn(300)
+    for i, (trace, seed) in enumerate(zip(pool, seeds)):
+        expected = oracles.block_generate_trace(DEFAULT_TRACE_CLASSES[i // 100], 36_000.0, seed)
+        assert (trace.start_available, trace.transitions) == expected
+
+
+def test_rank_order_equals_sorted_with_exact_ties():
+    # Copies tie exactly on (fraction, rate), and the half-up traces tie on
+    # fraction alone; both ways of ranking give sorted()'s order.
+    rng = np.random.default_rng(12)
+    half = [AvailabilityTrace(True, tuple(np.linspace(0.0, 1000.0, n + 1)[1:-1]), 1000.0)
+            for n in (2, 4, 8)]
+    assert len({trace_stats(tr)[0] for tr in half}) == 1
+    for _ in range(40):
+        base = edge_traces(rng, 15)
+        pool = base + [base[i] for i in rng.integers(0, 15, size=8)] + half
+        pool = [pool[i] for i in rng.permutation(len(pool))]
+        stats = [oracles.loop_trace_stats(tr.start_available, tr.transitions, 1000.0) for tr in pool]
+        expected = sorted(range(len(pool)), key=lambda i: (stats[i][0], -stats[i][1], i))
+        assert rank_traces(pool) == expected
+        assert rank_traces(TraceTable.from_traces(pool)) == expected
+
+
+def test_trace_table_items_and_arrays():
+    rng = np.random.default_rng(3)
+    pool = edge_traces(rng, 25)
+    table = TraceTable.from_traces(pool)
+    assert list(table) == pool and table == pool and pool == table
+    assert table[-1] == pool[-1] and table[np.int64(3)] == pool[3]
+    with pytest.raises(IndexError):
+        table[25]
+    with pytest.raises(ValueError):
+        table.flips[0] = 1.0   # checked once, then read-only
+    with pytest.raises(ValueError, match="share a horizon"):
+        TraceTable.from_traces([AvailabilityTrace(True, (), 10.0), AvailabilityTrace(True, (), 20.0)])
+    with pytest.raises(ValueError):
+        TraceTable.from_traces([])
 
 
 # ------------------------------------------------------------------ trace files
