@@ -561,6 +561,20 @@ def test_cli_run_non_finite_input_file_is_one_error_line(tmp_path, capsys, secti
     assert capsys.readouterr().err.splitlines() == [message]
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_trace_file_without_traces_is_one_error_line(tmp_path, capsys, command):
+    # A header and no trace lines: there is no pool to rank.
+    path = tmp_path / "traces.txt"
+    path.write_text("!horizon 100000\n# no traces\n")
+    cfg_path = write_cfg(
+        tmp_path,
+        "population:\n  num_clients: 5\nround:\n  clients_per_round: 2\n  num_rounds: 3\n"
+        f"scenario:\n  source: file\n  trace_file: {path}\n",
+    )
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: trace file {path} holds no traces"]
+
+
 def test_cli_run_short_horizon_exits_2(tmp_path, capsys):
     # Round 0 fits (150 s >= the 120 s timeout), but every round lasts at least
     # the fastest client's ~7 s, so by round 5 the next deadline passes 150 s.
