@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,6 +134,14 @@ def dirichlet_partition(dataset: Dataset, num_clients: int, alpha: float, seed) 
     return [np.sort(np.concatenate(parts)) for parts in shards]
 
 
+@lru_cache(maxsize=8)
+def _one_hot(classes_k: int) -> np.ndarray:
+    """np.eye(classes_k), whose row k is label k's target; made once per class count, read-only."""
+    eye = np.eye(classes_k)
+    eye.flags.writeable = False
+    return eye
+
+
 def local_train(
     global_params: np.ndarray,
     features: np.ndarray,
@@ -185,7 +194,7 @@ def local_train(
     grad = np.empty_like(params)
     w, b = _unpack(params, classes_k, features.shape[1])
     grad_w, grad_b = _unpack(grad, classes_k, features.shape[1])
-    eye = np.eye(classes_k)
+    eye = _one_hot(classes_k)
     if n > 1:
         rng = np.random.default_rng(seed)
     else:
