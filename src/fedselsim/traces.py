@@ -115,15 +115,14 @@ class TraceTable(Sequence):
         if any(tr.horizon_s != horizon for tr in traces):
             raise ValueError("all traces in one table must share a horizon")
         counts = np.fromiter((len(tr.transitions) for tr in traces), np.int64, len(traces))
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        return cls(
+        part = (
             np.fromiter((tr.start_available for tr in traces), bool, len(traces)),
-            offsets,
+            counts,
             np.fromiter(
-                chain.from_iterable(tr.transitions for tr in traces), np.float64, offsets[-1]
+                chain.from_iterable(tr.transitions for tr in traces), np.float64, counts.sum()
             ),
-            horizon,
         )
+        return _table([part], horizon)
 
     def __len__(self) -> int:
         return len(self.start)
@@ -375,17 +374,15 @@ def generate_pool(
 
     if not isinstance(rng_seed, np.random.SeedSequence):
         rng_seed = np.random.SeedSequence(rng_seed)
-    seeds = rng_seed.spawn(pool_size)
+    # Successive spawn calls hand out the children of one spawn(pool_size) in
+    # order, so each piece spawns its own seeds and none outlive it.
     parts = []
-    lo = 0
     for params, count in zip(classes, counts):
-        class_seeds = seeds[lo : lo + count]
         step = max(1, _BLOCK_ELEMENTS // _block_width(params, horizon_s))
         parts.extend(
-            _generate_rows(params, horizon_s, class_seeds[i : i + step])
+            _generate_rows(params, horizon_s, rng_seed.spawn(min(step, count - i)))
             for i in range(0, count, step)
         )
-        lo += count
     return _table(parts, horizon_s)
 
 
