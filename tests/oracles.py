@@ -9,6 +9,7 @@ recipe. Slow is fine; agreeing with the fast path is the point.
 import dataclasses
 import difflib
 import math
+from collections import namedtuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -459,6 +460,32 @@ def loop_local_train(
             b = b - lr * grad_b
     return np.concatenate([w.ravel(), b]) - global_params
 
+
+# The per-value capability draw that the (n, 3) array draw replaced, copied
+# unchanged apart from its name and from building a `Profile` record in place
+# of the package's removed `ClientProfile` (whose finite-and-> 0 check a value
+# drawn inside validated bounds always passes). The package's row c must hold
+# client c's three values, bit for bit.
+
+Profile = namedtuple("Profile", "client_id time_per_sample_s down_bw_Bps up_bw_Bps")
+
+
+def loop_generate_profiles(n, bounds, rng_seed):
+    """Draw n profiles with log-uniform capabilities inside the given bounds."""
+    if n < 1:
+        raise ValueError(f"need n >= 1 profiles, got {n}")
+    rng = np.random.default_rng(rng_seed)
+
+    def draw(lo: float, hi: float) -> float:
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+    profiles = []
+    for i in range(n):
+        tps = draw(*bounds.time_per_sample_s)
+        down = draw(*bounds.down_bw_Bps)
+        up = draw(*bounds.up_bw_Bps)
+        profiles.append(Profile(f"c{i}", tps, down, up))
+    return profiles
 
 # The config loader that the field-driven one replaced: seven section builders,
 # copied unchanged apart from the name of `parent_config_from_dict` and from
