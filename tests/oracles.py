@@ -487,6 +487,20 @@ def loop_generate_profiles(n, bounds, rng_seed):
         profiles.append(Profile(f"c{i}", tps, down, up))
     return profiles
 
+# The per-profile round time that the one elementwise expression over every
+# client replaced, copied unchanged apart from its name and from reading a
+# `Profile` record. The package's entry c must equal it for client c, bit for
+# bit.
+
+
+def profile_round_time(profile, num_samples, model_size_bytes, local_epochs):
+    if num_samples < 0:
+        raise ValueError(f"{profile.client_id}: num_samples must be >= 0")
+    down = model_size_bytes / profile.down_bw_Bps
+    up = model_size_bytes / profile.up_bw_Bps
+    compute = local_epochs * num_samples * profile.time_per_sample_s
+    return down + compute + up
+
 # The config loader that the field-driven one replaced: seven section builders,
 # copied unchanged apart from the name of `parent_config_from_dict` and from
 # building the five self-checking dataclasses through `_construct`, which runs
