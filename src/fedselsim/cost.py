@@ -1,57 +1,55 @@
 """Deterministic per-client round-time model and capability ingestion/synthesis.
 
-The synthesis bounds (CapabilityBounds) are a config section, defined in `config`;
-`round_time` takes the task's model size and epoch count as plain numbers.
+A population's capabilities are one (N, 3) float64 array whose columns are
+named by CAPABILITY_FIELDS; client c's id is entry c of the list returned
+beside it. The synthesis bounds (CapabilityBounds) are a config section,
+defined in `config`; `round_time` takes the task's model size and epoch count
+as plain numbers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import CapabilityBounds
 from .errors import ParseError
 
-
-@dataclass(frozen=True)
-class ClientProfile:
-    """Hardware capability of one client."""
-
-    client_id: str
-    time_per_sample_s: float
-    down_bw_Bps: float
-    up_bw_Bps: float
-
-    def __post_init__(self):
-        for name in ("time_per_sample_s", "down_bw_Bps", "up_bw_Bps"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{self.client_id}: {name} must be finite and > 0, got {value}")
+# The columns of a capability array, in order.
+CAPABILITY_FIELDS = ("time_per_sample_s", "down_bw_Bps", "up_bw_Bps")
 
 
 def round_time(
-    profile: ClientProfile, num_samples: int, model_size_bytes: float, local_epochs: int
-) -> float:
+    caps: np.ndarray, num_samples: np.ndarray, model_size_bytes: float, local_epochs: int
+) -> np.ndarray:
     """Download + epochs * num_samples (shard size) * per-sample time + upload, in s.
 
-    The model size and epoch count come from an already validated
+    One entry per client: row c of `caps` with entry c of `num_samples`,
+    computed elementwise as `down + compute + up`, the order of the per-client
+    sum. The model size and epoch count come from an already validated
     `config.TaskCfg` (through `learning.model_size_bytes`). Shared by the
     engine (ground truth) and FedCS/TiFL (estimate), so the estimation error is
-    zero by construction.
+    zero by construction. A bandwidth so small that the quotient overflows
+    gives an infinite round time, without a warning, as a Python float would.
     """
-    if num_samples < 0:
-        raise ValueError(f"{profile.client_id}: num_samples must be >= 0")
-    down = model_size_bytes / profile.down_bw_Bps
-    up = model_size_bytes / profile.up_bw_Bps
-    compute = local_epochs * num_samples * profile.time_per_sample_s
-    return down + compute + up
+    num_samples = np.asarray(num_samples)
+    if (num_samples < 0).any():
+        raise ValueError(f"num_samples must be >= 0, got {num_samples.min()}")
+    with np.errstate(over="ignore"):
+        down = model_size_bytes / caps[:, 1]
+        up = model_size_bytes / caps[:, 2]
+        compute = local_epochs * num_samples * caps[:, 0]
+        return down + compute + up
 
 
-def parse_capability_file(text: str) -> list[ClientProfile]:
-    """Parse `<client_id> <time_per_sample_s> <down_bw_Bps> <up_bw_Bps>` lines."""
-    profiles: list[ClientProfile] = []
+def parse_capability_file(text: str) -> tuple[list[str], np.ndarray]:
+    """Parse `<client_id> <time_per_sample_s> <down_bw_Bps> <up_bw_Bps>` lines.
+
+    Returns the client ids and their (N, 3) capability array, in file order.
+    """
+    client_ids: list[str] = []
+    rows: list[tuple[float, ...]] = []
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -65,29 +63,27 @@ def parse_capability_file(text: str) -> list[ClientProfile]:
             raise ParseError(f"line {lineno}: duplicate client id {cid!r}")
         seen.add(cid)
         try:
-            tps, down, up = (float(v) for v in fields[1:])
+            values = tuple(float(v) for v in fields[1:])
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric capability value") from None
-        try:
-            profiles.append(ClientProfile(cid, tps, down, up))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-    return profiles
+        for name, value in zip(CAPABILITY_FIELDS, values):
+            if not 0 < value < math.inf:
+                raise ParseError(
+                    f"line {lineno}: {cid}: {name} must be finite and > 0, got {value}"
+                )
+        client_ids.append(cid)
+        rows.append(values)
+    return client_ids, np.array(rows, dtype=np.float64).reshape(-1, len(CAPABILITY_FIELDS))
 
 
-def generate_profiles(n: int, bounds: CapabilityBounds, rng_seed) -> list[ClientProfile]:
-    """Draw n profiles with log-uniform capabilities inside the given bounds."""
+def generate_profiles(n: int, bounds: CapabilityBounds, rng_seed) -> tuple[list[str], np.ndarray]:
+    """Ids c0..c{n-1} and n rows of log-uniform capabilities inside the given bounds.
+
+    One (n, 3) draw takes the generator's values row by row, the order of a
+    per-client, per-field draw.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1 profiles, got {n}")
     rng = np.random.default_rng(rng_seed)
-
-    def draw(lo: float, hi: float) -> float:
-        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-
-    profiles = []
-    for i in range(n):
-        tps = draw(*bounds.time_per_sample_s)
-        down = draw(*bounds.down_bw_Bps)
-        up = draw(*bounds.up_bw_Bps)
-        profiles.append(ClientProfile(f"c{i}", tps, down, up))
-    return profiles
+    lo, hi = np.log([getattr(bounds, name) for name in CAPABILITY_FIELDS]).T
+    return [f"c{i}" for i in range(n)], np.exp(rng.uniform(lo, hi, size=(n, 3)))

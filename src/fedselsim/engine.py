@@ -147,24 +147,23 @@ def _read_input(path: str, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
-def _world_digest(profiles, pool: TraceTable, picks: list[int], shards) -> str:
-    """Client c is hashed with trace picks[c] of the pool: its flips are a table slice."""
+def _world_digest(
+    client_ids: list[str],
+    caps: np.ndarray,
+    pool: TraceTable,
+    picks: list[int],
+    order: np.ndarray,
+    offsets: list[int],
+) -> str:
+    """Client c is hashed with its capability row, trace picks[c] of the pool and
+    its shard order[offsets[c]:offsets[c + 1]]; the flips are a table slice."""
+    head = np.column_stack((caps, pool.start[picks], np.full(len(picks), pool.horizon_s)))
     h = hashlib.sha256()
-    for profile, i, shard in zip(profiles, picks, shards):
-        h.update(profile.client_id.encode())
-        h.update(
-            np.array(
-                [
-                    profile.time_per_sample_s,
-                    profile.down_bw_Bps,
-                    profile.up_bw_Bps,
-                    float(pool.start[i]),
-                    pool.horizon_s,
-                ]
-            ).tobytes()
-        )
+    for c, i in enumerate(picks):
+        h.update(client_ids[c].encode())
+        h.update(head[c].tobytes())
         h.update(pool.flips[pool.offsets[i] : pool.offsets[i + 1]].tobytes())
-        h.update(np.asarray(shard, dtype=np.int64).tobytes())
+        h.update(order[offsets[c] : offsets[c + 1]].tobytes())
     return h.hexdigest()
 
 
@@ -198,54 +197,52 @@ def build_world(cfg: ExperimentConfig) -> World:
     assigned = [pool[i] for i in picks]
 
     if cfg.population.capability_source == "file":
-        profiles = parse_capability_file(
-            _read_input(cfg.population.capability_file, "capability file")
-        )
-        if len(profiles) < num_clients:
+        path = cfg.population.capability_file
+        client_ids, caps = parse_capability_file(_read_input(path, "capability file"))
+        if len(client_ids) < num_clients:
             raise ConfigError(
-                f"capability file {cfg.population.capability_file} holds "
-                f"{len(profiles)} profiles but num_clients={num_clients}"
+                f"capability file {path} holds "
+                f"{len(client_ids)} profiles but num_clients={num_clients}"
             )
-        profiles = profiles[:num_clients]
+        client_ids, caps = client_ids[:num_clients], caps[:num_clients]
     else:
-        profiles = generate_profiles(num_clients, cfg.population.synthetic, seed_caps)
+        client_ids, caps = generate_profiles(num_clients, cfg.population.synthetic, seed_caps)
 
     task = cfg.task
     dataset = learning.make_dataset(
         task.num_samples, task.features_d, task.classes_k, task.class_sep, task.seed
     )
-    shards = learning.dirichlet_partition(
+    order, offsets = learning.dirichlet_partition(
         dataset, num_clients, task.alpha, cfg.seeds.partition_seed
     )
-    empty = sum(1 for shard in shards if len(shard) == 0)
+    sizes = np.diff(offsets)
+    empty = int(np.count_nonzero(sizes == 0))
     if empty:
         log.warning("%d of %d clients received empty data shards", empty, num_clients)
 
     size = learning.model_size_bytes(task.classes_k, task.features_d)
-    round_times = [
-        round_time(p, len(shard), size, task.epochs) for p, shard in zip(profiles, shards)
-    ]
+    # Python floats: selectors index them, and reports repr them.
+    round_times = round_time(caps, sizes, size, task.epochs).tolist()
 
     if cfg.round.strict_availability_failures:
-        slowest = max(range(num_clients), key=lambda c: round_times[c])
+        slowest = max(range(num_clients), key=round_times.__getitem__)
         if cfg.round.timeout_s <= round_times[slowest]:
             raise ConfigError(
                 f"round.timeout_s={cfg.round.timeout_s} must exceed the slowest "
                 f"client's round time ({round_times[slowest]:.3f}s, client "
-                f"{profiles[slowest].client_id}) while strict_availability_failures is on"
+                f"{client_ids[slowest]}) while strict_availability_failures is on"
             )
 
-    gathered = np.concatenate(shards)
-    features, labels = dataset.features[gathered], dataset.labels[gathered]
-    ends = np.cumsum([len(shard) for shard in shards]).tolist()
+    features, labels = dataset.features[order], dataset.labels[order]
+    bounds = offsets.tolist()
     return World(
-        client_ids=[profile.client_id for profile in profiles],
+        client_ids=client_ids,
         traces=assigned,
-        rows=[(features[a:b], labels[a:b]) for a, b in zip([0] + ends, ends)],
+        rows=[(features[a:b], labels[a:b]) for a, b in zip(bounds, bounds[1:])],
         test=(dataset.features[dataset.test_idx], dataset.labels[dataset.test_idx]),
         round_times=round_times,
         horizon_s=pool.horizon_s,
-        digest=_world_digest(profiles, pool, picks, shards),
+        digest=_world_digest(client_ids, caps, pool, picks, order, bounds),
     )
 
 

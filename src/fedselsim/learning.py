@@ -102,12 +102,21 @@ def make_dataset(
     )
 
 
-def dirichlet_partition(dataset: Dataset, num_clients: int, alpha: float, seed) -> list[np.ndarray]:
+def dirichlet_partition(
+    dataset: Dataset, num_clients: int, alpha: float, seed
+) -> tuple[np.ndarray, np.ndarray]:
     """Split the train set across clients with per-class Dirichlet proportions.
 
     For each class, proportions ~ Dirichlet(alpha, ..., alpha) over clients turn
-    into integer counts by largest remainder, then contiguous slices of that
-    class's samples. Shards are disjoint and cover the train split exactly.
+    into integer counts by largest remainder, then contiguous runs of that
+    class's samples, which are labelled with their client. Shards are disjoint
+    and cover the train split exactly.
+
+    Returns `(order, offsets)`: the train indices in client order (int64) and
+    N + 1 int64 offsets, so client c's shard is `order[offsets[c]:offsets[c + 1]]`.
+    A stable sort by client keeps train order inside each shard, and train
+    order ascends (`make_dataset` lays the classes out one after another), so
+    every shard ascends.
     """
     if num_clients < 1:
         raise ValueError(f"num_clients must be >= 1, got {num_clients}")
@@ -118,20 +127,25 @@ def dirichlet_partition(dataset: Dataset, num_clients: int, alpha: float, seed) 
             f"cannot split {len(dataset.train_idx)} train samples across {num_clients} clients"
         )
     rng = np.random.default_rng(seed)
-    shards: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
     train_labels = dataset.labels[dataset.train_idx]
+    owner = np.empty(len(train_labels), dtype=np.int64)
+    sizes = np.zeros(num_clients, dtype=np.int64)
+    clients = np.arange(num_clients)
     for k in range(dataset.num_classes):
-        idx_k = dataset.train_idx[train_labels == k]
+        in_k = train_labels == k
+        n_k = int(np.count_nonzero(in_k))
         props = rng.dirichlet(np.full(num_clients, alpha))
-        raw = props * len(idx_k)
-        counts = np.floor(raw).astype(int)
-        short = len(idx_k) - counts.sum()
+        raw = props * n_k
+        counts = np.floor(raw).astype(np.int64)
+        short = n_k - counts.sum()
         by_remainder = np.argsort(-(raw - counts), kind="stable")
         counts[by_remainder[:short]] += 1
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        for c in range(num_clients):
-            shards[c].append(idx_k[offsets[c] : offsets[c + 1]])
-    return [np.sort(np.concatenate(parts)) for parts in shards]
+        owner[in_k] = np.repeat(clients, counts)
+        sizes += counts
+    offsets = np.zeros(num_clients + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    order = dataset.train_idx[np.argsort(owner, kind="stable")].astype(np.int64, copy=False)
+    return order, offsets
 
 
 @lru_cache(maxsize=8)

@@ -374,7 +374,8 @@ def test_world_rows_and_test_are_the_gathered_splits():
     dataset = learning.make_dataset(
         task.num_samples, task.features_d, task.classes_k, task.class_sep, task.seed
     )
-    shards = learning.dirichlet_partition(dataset, 40, task.alpha, cfg.seeds.partition_seed)
+    order, offsets = learning.dirichlet_partition(dataset, 40, task.alpha, cfg.seeds.partition_seed)
+    shards = [order[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
     assert {0, 1} <= {len(shard) for shard in shards}
     expected = [(dataset.features[shard], dataset.labels[shard]) for shard in shards]
     expected.append((dataset.features[dataset.test_idx], dataset.labels[dataset.test_idx]))

@@ -80,20 +80,52 @@ def test_train_split_size_takes_constant_time():
     assert learning.train_split_size(5 * 10**15 + 3, 10**15) == 4 * 10**15 + 3
 
 
+def shards_of(order, offsets):
+    """Client c's shard, order[offsets[c]:offsets[c + 1]], for every client."""
+    return [order[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+
+
 def test_partition_is_a_partition():
     ds = learning.make_dataset(500, 8, 5, 1.0, 1)
-    shards = learning.dirichlet_partition(ds, 12, 0.5, 2)
-    assert len(shards) == 12
-    merged = np.concatenate(shards)
-    assert len(merged) == len(ds.train_idx)
-    assert np.array_equal(np.sort(merged), np.sort(ds.train_idx))  # disjoint cover
+    order, offsets = learning.dirichlet_partition(ds, 12, 0.5, 2)
+    assert (order.dtype, offsets.dtype) == (np.int64, np.int64)
+    assert len(offsets) == 12 + 1
+    assert offsets[0] == 0 and offsets[-1] == len(order)
+    assert (np.diff(offsets) >= 0).all()
+    assert len(order) == len(ds.train_idx)
+    assert np.array_equal(np.sort(order), np.sort(ds.train_idx))  # disjoint cover
+    for shard in shards_of(order, offsets):
+        assert (np.diff(shard) > 0).all()   # each shard ascends
 
 
 def test_partition_deterministic():
     ds = learning.make_dataset(300, 4, 3, 1.0, 3)
     a = learning.dirichlet_partition(ds, 7, 0.2, 9)
     b = learning.dirichlet_partition(ds, 7, 0.2, 9)
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b, strict=True))
+
+
+def test_partition_matches_the_list_oracle():
+    # Shard c of the list-of-shards partition must be the slice
+    # order[offsets[c]:offsets[c + 1]], bit for bit, over random datasets,
+    # alpha from 0.05 to 10 and up to one client per train sample.
+    rng = np.random.default_rng(41)
+    sizes_seen = set()
+    for _ in range(150):
+        classes_k = int(rng.integers(2, 12))
+        num_samples = int(rng.integers(5 * classes_k, 600))
+        ds = learning.make_dataset(num_samples, 2, classes_k, 1.0, int(rng.integers(1 << 30)))
+        n_train = len(ds.train_idx)
+        num_clients = int(rng.choice([1, n_train, int(rng.integers(1, n_train + 1))]))
+        alpha = float(np.exp(rng.uniform(np.log(0.05), np.log(10.0))))
+        seed = int(rng.integers(1 << 30))
+        expected = oracles.list_dirichlet_partition(ds, num_clients, alpha, seed)
+        order, offsets = learning.dirichlet_partition(ds, num_clients, alpha, seed)
+        assert offsets.tolist() == [0, *np.cumsum([len(s) for s in expected]).tolist()]
+        for got, want in zip(shards_of(order, offsets), expected, strict=True):
+            assert got.tobytes() == want.astype(np.int64).tobytes()
+        sizes_seen.update(np.diff(offsets).tolist())
+    assert {0, 1} <= sizes_seen
 
 
 def test_partition_high_alpha_is_nearly_iid():
@@ -102,7 +134,7 @@ def test_partition_high_alpha_is_nearly_iid():
     for seed in range(20):
         ds = learning.make_dataset(2000, 16, 10, 0.3, seed)
         global_dist = np.bincount(ds.labels[ds.train_idx], minlength=10) / len(ds.train_idx)
-        for shard in learning.dirichlet_partition(ds, 10, 1e6, 100 + seed):
+        for shard in shards_of(*learning.dirichlet_partition(ds, 10, 1e6, 100 + seed)):
             dist = np.bincount(ds.labels[shard], minlength=10) / len(shard)
             tvs.append(0.5 * np.abs(dist - global_dist).sum())
     assert max(tvs) <= 0.05
@@ -116,7 +148,7 @@ def test_partition_low_alpha_skews_shards():
         shares = []
         for seed in range(20):
             ds = learning.make_dataset(2000, 16, 10, 0.3, seed)
-            for shard in learning.dirichlet_partition(ds, 10, alpha, 100 + seed):
+            for shard in shards_of(*learning.dirichlet_partition(ds, 10, alpha, 100 + seed)):
                 if len(shard) == 0:
                     continue
                 counts = np.bincount(ds.labels[shard], minlength=10)
