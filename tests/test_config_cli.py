@@ -784,6 +784,99 @@ def test_frozen_world_replays_the_synthetic_world(tmp_path):
     assert replayed.metrics == synthetic.metrics
 
 
+def test_capability_file_replays_the_synthetic_world(tmp_path, monkeypatch):
+    # The synthetic capabilities, written as a capability file with three
+    # extra clients past num_clients, must give the synthetic run.
+    text = BASE_YAML.replace("num_rounds: 8", "num_rounds: 50") + (
+        "selector:\n  kind: fedcs\nscenario:\n  kind: low\n"
+    )
+    cfg = load_config(write_cfg(tmp_path, text))
+    drawn, generate_profiles = [], engine.generate_profiles
+
+    def recording(*args):
+        drawn.append(generate_profiles(*args))
+        return drawn[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "generate_profiles", recording)
+        synthetic = run_experiment(cfg, 1)
+    ((ids, caps),) = drawn
+    assert ids == [f"c{c}" for c in range(12)]
+    lines = [f"{cid} {tps!r} {down!r} {up!r}" for cid, (tps, down, up) in zip(ids, caps.tolist())]
+    lines += ["c12 0.05 1e6 5e5", "c13 0.5 10 10", "c14 1e-3 1e9 1e9"]
+    path = tmp_path / "capabilities.txt"
+    path.write_text("\n".join(lines) + "\n")
+    from_file = text.replace(
+        "  num_clients: 12\n",
+        f"  num_clients: 12\n  capability_source: file\n  capability_file: {path}\n",
+    )
+    replayed = run_experiment(load_config(write_cfg(tmp_path, from_file, "file.yaml")), 1)
+    assert replayed.config["population"]["capability_source"] == "file"
+    assert replayed.config["population"]["num_clients"] == 12
+    assert any(o.failed for o in synthetic.rounds)
+    assert replayed.world_digest == synthetic.world_digest
+    assert replayed.rounds == synthetic.rounds
+    assert replayed.metrics == synthetic.metrics
+
+
+def test_cli_short_capability_file_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "capabilities.txt"
+    path.write_text("".join(f"c{c} 0.05 1e6 5e5\n" for c in range(11)))
+    cfg_path = write_cfg(
+        tmp_path,
+        BASE_YAML.replace(
+            "  num_clients: 12\n",
+            f"  num_clients: 12\n  capability_source: file\n  capability_file: {path}\n",
+        ),
+    )
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: capability file {path} holds 11 profiles but num_clients=12"
+    ]
+
+
+def test_cli_overflowing_round_time_is_one_error_line(tmp_path, capsys):
+    # 1e6 model bytes over a 5e-324 B/s link overflow to an infinite round
+    # time; the strict timeout check names it, and no numpy warning is printed.
+    cfg_path = write_cfg(
+        tmp_path,
+        "population:\n  num_clients: 10\n  synthetic:\n"
+        "    down_bw_Bps: [5.0e-324, 5.0e-324]\nround:\n  num_rounds: 3\n",
+    )
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: round.timeout_s=120.0 must exceed the slowest client's round time "
+        "(infs, client c0) while strict_availability_failures is on"
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("- a\n- b\n", "error: config root must be a mapping"),
+        (
+            "scenario:\n  kind: low\n  synthetic:\n    pool_size: 30\n"
+            "population:\n  num_clients: 30\nround:\n  num_rounds: 3\n",
+            "error: scenario block [0,10) holds 10 traces but the mix requires 18",
+        ),
+    ],
+)
+def test_cli_config_error_is_one_error_line(tmp_path, capsys, text, message):
+    cfg_path = write_cfg(tmp_path, text)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_cli_out_below_a_file_exits_2(tmp_path, capsys):
+    # The one OSError branch of main: the output directory cannot be made.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    cfg_path = write_cfg(tmp_path)
+    assert main(["run", "--config", cfg_path, "--out", str(blocker / "out")]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: [Errno 20] Not a directory: '{blocker / 'out'}'"]
+
+
 def test_cli_gen_traces_default_location(tmp_path):
     text = BASE_YAML + f"output:\n  directory: {tmp_path / 'gen'}\n"
     cfg_path = write_cfg(tmp_path, text)

@@ -584,6 +584,7 @@ def test_serialize_parse_roundtrip():
         ("!horizon nan\nc1 1\n", "line 1: horizon must be finite"),
         ("!horizon inf\nc1 1 100\n", "line 1: horizon must be finite"),
         ("!horizon 1000\nc1 1 nan\n", "line 2"),             # NaN timestamp
+        ("!horizon 1000 5\n", "line 1"),                   # extra header field
     ],
 )
 def test_parse_trace_file_errors(text, fragment):
