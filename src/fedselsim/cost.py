@@ -1,10 +1,8 @@
 """Deterministic per-client round-time model and capability ingestion/synthesis.
 
-A population's capabilities are one (N, 3) float64 array whose columns are
-named by CAPABILITY_FIELDS; client c's id is entry c of the list returned
-beside it. The synthesis bounds (CapabilityBounds) are a config section,
-defined in `config`; `round_time` takes the task's model size and epoch count
-as plain numbers.
+Capabilities are one (N, 3) float64 array, columns named by CAPABILITY_FIELDS.
+The synthesis bounds (CapabilityBounds) are a config section, defined in `config`;
+`round_time` takes the task's model size and epoch count as plain numbers.
 """
 
 from __future__ import annotations
@@ -25,13 +23,12 @@ def round_time(
 ) -> np.ndarray:
     """Download + epochs * num_samples (shard size) * per-sample time + upload, in s.
 
-    One entry per client: row c of `caps` with entry c of `num_samples`,
-    computed elementwise as `down + compute + up`, the order of the per-client
-    sum. The model size and epoch count come from an already validated
-    `config.TaskCfg` (through `learning.model_size_bytes`). Shared by the
-    engine (ground truth) and FedCS/TiFL (estimate), so the estimation error is
-    zero by construction. A bandwidth so small that the quotient overflows
-    gives an infinite round time, without a warning, as a Python float would.
+    Elementwise over clients (row c of `caps`, entry c of `num_samples`), in
+    the order of the per-client sum. The model size and epoch count come from
+    an already validated `config.TaskCfg` (through `learning.model_size_bytes`).
+    Shared by the engine (ground truth) and FedCS/TiFL (estimate), so the
+    estimation error is zero by construction. An overflowing quotient is inf,
+    without a warning, as with Python floats.
     """
     num_samples = np.asarray(num_samples)
     if (num_samples < 0).any():
@@ -44,13 +41,8 @@ def round_time(
 
 
 def parse_capability_file(text: str) -> tuple[list[str], np.ndarray]:
-    """Parse `<client_id> <time_per_sample_s> <down_bw_Bps> <up_bw_Bps>` lines.
-
-    Returns the client ids and their (N, 3) capability array, in file order.
-    """
-    client_ids: list[str] = []
-    rows: list[tuple[float, ...]] = []
-    seen: set[str] = set()
+    """Parse `<client_id> <time_per_sample_s> <down_bw_Bps> <up_bw_Bps>` lines."""
+    rows: dict[str, tuple[float, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -59,29 +51,22 @@ def parse_capability_file(text: str) -> tuple[list[str], np.ndarray]:
         if len(fields) != 4:
             raise ParseError(f"line {lineno}: expected 4 fields, got {len(fields)}")
         cid = fields[0]
-        if cid in seen:
+        if cid in rows:
             raise ParseError(f"line {lineno}: duplicate client id {cid!r}")
-        seen.add(cid)
         try:
-            values = tuple(float(v) for v in fields[1:])
+            rows[cid] = tuple(float(v) for v in fields[1:])
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric capability value") from None
-        for name, value in zip(CAPABILITY_FIELDS, values):
+        for name, value in zip(CAPABILITY_FIELDS, rows[cid]):
             if not 0 < value < math.inf:
                 raise ParseError(
                     f"line {lineno}: {cid}: {name} must be finite and > 0, got {value}"
                 )
-        client_ids.append(cid)
-        rows.append(values)
-    return client_ids, np.array(rows, dtype=np.float64).reshape(-1, len(CAPABILITY_FIELDS))
+    return list(rows), np.array(list(rows.values()), dtype=np.float64).reshape(-1, 3)
 
 
 def generate_profiles(n: int, bounds: CapabilityBounds, rng_seed) -> tuple[list[str], np.ndarray]:
-    """Ids c0..c{n-1} and n rows of log-uniform capabilities inside the given bounds.
-
-    One (n, 3) draw takes the generator's values row by row, the order of a
-    per-client, per-field draw.
-    """
+    """Ids c0.. and n log-uniform rows inside the bounds, drawn in per-client order."""
     if n < 1:
         raise ValueError(f"need n >= 1 profiles, got {n}")
     rng = np.random.default_rng(rng_seed)

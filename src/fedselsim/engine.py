@@ -147,16 +147,9 @@ def _read_input(path: str, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
-def _world_digest(
-    client_ids: list[str],
-    caps: np.ndarray,
-    pool: TraceTable,
-    picks: list[int],
-    order: np.ndarray,
-    offsets: list[int],
-) -> str:
-    """Client c is hashed with its capability row, trace picks[c] of the pool and
-    its shard order[offsets[c]:offsets[c + 1]]; the flips are a table slice."""
+def _world_digest(client_ids, caps, pool: TraceTable, picks: list[int], order, offsets) -> str:
+    """Client c is hashed with caps[c], trace picks[c] of the pool (its flips are a
+    table slice) and its shard order[offsets[c]:offsets[c + 1]]."""
     head = np.column_stack((caps, pool.start[picks], np.full(len(picks), pool.horizon_s)))
     h = hashlib.sha256()
     for c, i in enumerate(picks):

@@ -109,14 +109,10 @@ def dirichlet_partition(
 
     For each class, proportions ~ Dirichlet(alpha, ..., alpha) over clients turn
     into integer counts by largest remainder, then contiguous runs of that
-    class's samples, which are labelled with their client. Shards are disjoint
-    and cover the train split exactly.
-
-    Returns `(order, offsets)`: the train indices in client order (int64) and
-    N + 1 int64 offsets, so client c's shard is `order[offsets[c]:offsets[c + 1]]`.
-    A stable sort by client keeps train order inside each shard, and train
-    order ascends (`make_dataset` lays the classes out one after another), so
-    every shard ascends.
+    class's samples. Returns the train indices in client order (int64) and N + 1
+    int64 offsets: client c's shard is order[offsets[c]:offsets[c + 1]]. Shards
+    are disjoint, cover the train split exactly, and ascend, because a stable
+    sort by client keeps train order, which ascends class by class.
     """
     if num_clients < 1:
         raise ValueError(f"num_clients must be >= 1, got {num_clients}")
@@ -130,7 +126,6 @@ def dirichlet_partition(
     train_labels = dataset.labels[dataset.train_idx]
     owner = np.empty(len(train_labels), dtype=np.int64)
     sizes = np.zeros(num_clients, dtype=np.int64)
-    clients = np.arange(num_clients)
     for k in range(dataset.num_classes):
         in_k = train_labels == k
         n_k = int(np.count_nonzero(in_k))
@@ -140,10 +135,9 @@ def dirichlet_partition(
         short = n_k - counts.sum()
         by_remainder = np.argsort(-(raw - counts), kind="stable")
         counts[by_remainder[:short]] += 1
-        owner[in_k] = np.repeat(clients, counts)
+        owner[in_k] = np.repeat(np.arange(num_clients), counts)
         sizes += counts
-    offsets = np.zeros(num_clients + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
     order = dataset.train_idx[np.argsort(owner, kind="stable")].astype(np.int64, copy=False)
     return order, offsets
 
