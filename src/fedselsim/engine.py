@@ -218,7 +218,7 @@ def build_world(cfg: ExperimentConfig) -> World:
     round_times = round_time(caps, sizes, size, task.epochs).tolist()
 
     if cfg.round.strict_availability_failures:
-        slowest = max(range(num_clients), key=round_times.__getitem__)
+        slowest = max(range(num_clients), key=lambda c: round_times[c])
         if cfg.round.timeout_s <= round_times[slowest]:
             raise ConfigError(
                 f"round.timeout_s={cfg.round.timeout_s} must exceed the slowest "
