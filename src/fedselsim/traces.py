@@ -22,6 +22,7 @@ import numpy as np
 
 from .config import SCENARIO_KINDS, TraceClassParams
 from .errors import ConfigError, ParseError
+from .seeding import spawned_states
 
 # Largest number of durations drawn at once for one trace; bounds temporary
 # memory on very long traces. Must be even so that each block starts in the
@@ -276,41 +277,46 @@ def _block_width(params: TraceClassParams, horizon_s: float) -> int:
     return min(_MAX_BLOCK, 2 * (int(expected + 3.0 * expected**0.5) // 2 + 4))
 
 
-def _generate_rows(params: TraceClassParams, horizon_s: float, seeds: Sequence):
-    """One trace of one class per seed: start states, flip counts, flips in trace order.
+def _generate_rows(params: TraceClassParams, horizon_s: float, states: Sequence[dict]):
+    """One trace of one class per generator state: start states, flip counts, flips in trace order.
 
-    Each trace has its own generator. One `random()` draws its start state;
-    its durations then alternate between the current state's mean and the
-    other's, and each flip lands at the running sum of the durations so far;
-    the first sum that reaches `horizon_s` ends the trace.
+    `states` hold what `bit_generator.state` returns, all of one kind of bit
+    generator; one generator is set to each in turn. One `random()` draws the
+    trace's start state; its durations then alternate between the current
+    state's mean and the other's, and each flip lands at the running sum of the
+    durations so far; the first sum that reaches `horizon_s` ends the trace.
 
     The durations are drawn in blocks of k per trace, but the result is bit for
     bit that of drawing them one at a time with `t += rng.exponential(mean)`
-    (`loop_generate_trace` in `tests/oracles.py`):
+    from a generator in that state (`loop_generate_trace` in `tests/oracles.py`):
     `Generator.exponential(scale)` is `scale * standard_exponential()` on the
     same stream, so a row of `standard_exponential` whose even and odd entries
     are scaled by the trace's two means holds the same k durations; `cumsum`
     along the row adds left to right as `t += d` does, starting from the
-    running clock; and draws past the horizon come from the trace's own
-    generator, which is then discarded. k is even, so the phase carries over
-    from one block to the next, and it depends only on the class, so the rows
-    of many traces form one (rows x k) block. Only the traces that fill a
-    block draw another.
+    running clock; and draws past the horizon are the trace's own, which no
+    other trace reads. k is even, so the phase carries over from one block to
+    the next, and it depends only on the class, so the rows of many traces form
+    one (rows x k) block. Only the traces that fill a block draw another, each
+    from its own state after its blocks so far. After the first block that
+    state is found by drawing the block again, since few rows fill one;
+    reading `bit_generator.state` after every row would cost more.
     """
     k = _block_width(params, horizon_s)
-    block = np.empty((len(seeds), k))
-    rngs, start = [], []
-    for seed, row in zip(seeds, block):
-        rng = np.random.default_rng(seed)
+    # PCG64, unless generate_trace was given a bit generator of another kind
+    rng = np.random.Generator(getattr(np.random, states[0]["bit_generator"])(0))
+    bitgen = rng.bit_generator
+    block = np.empty((len(states), k))
+    start = []
+    for state, row in zip(states, block):
+        bitgen.state = state
         start.append(rng.random() < params.start_available_prob)
         rng.standard_exponential(out=row)
-        rngs.append(rng)
     start = np.array(start, dtype=bool)
     first = np.where(start, params.mean_up_s, params.mean_down_s)[:, None]
     second = np.where(start, params.mean_down_s, params.mean_up_s)[:, None]
-    counts = np.zeros(len(rngs), np.int64)
+    counts = np.zeros(len(states), np.int64)
     rounds = []   # (rows, their flip counts, their flips) of each round of blocks
-    rows, clock = np.arange(len(rngs)), 0.0
+    rows, clock, resume = np.arange(len(states)), 0.0, None
     while True:
         block[:, 0::2] *= first[rows]
         block[:, 1::2] *= second[rows]
@@ -322,10 +328,21 @@ def _generate_rows(params: TraceClassParams, horizon_s: float, seeds: Sequence):
         full = cut == k
         if not full.any():
             break
-        rows, clock, rngs = rows[full], block[full, -1], list(compress(rngs, full))
+        rows, clock = rows[full], block[full, -1]
+        if resume is None:
+            resume = []
+            for i in rows.tolist():
+                bitgen.state = states[i]
+                rng.random()
+                rng.standard_exponential(k)
+                resume.append(bitgen.state)
+        else:
+            resume = list(compress(resume, full))
         block = np.empty((len(rows), k))
-        for rng, row in zip(rngs, block):
+        for j, row in enumerate(block):
+            bitgen.state = resume[j]
             rng.standard_exponential(out=row)
+            resume[j] = bitgen.state
     if len(rounds) == 1:
         return start, counts, rounds[0][2]
     # Round j holds each of its rows' flips from j * k on.
@@ -347,8 +364,13 @@ def _table(parts, horizon_s: float) -> TraceTable:
 
 
 def generate_trace(params: TraceClassParams, horizon_s: float, rng_seed) -> AvailabilityTrace:
-    """One trace of the class, drawn from `default_rng(rng_seed)` (see _generate_rows)."""
-    return _table([_generate_rows(params, horizon_s, [rng_seed])], horizon_s)[0]
+    """One trace of the class, drawn from `default_rng(rng_seed)` (see _generate_rows).
+
+    Only the generator's state is read: a Generator or BitGenerator passed in
+    is not advanced.
+    """
+    state = np.random.default_rng(rng_seed).bit_generator.state
+    return _table([_generate_rows(params, horizon_s, [state])], horizon_s)[0]
 
 
 def generate_pool(
@@ -357,7 +379,10 @@ def generate_pool(
     """Generate a pool mixing the given classes by weight (largest-remainder counts).
 
     Trace i is `generate_trace` of its class with the i-th seed that
-    `rng_seed` spawns; the classes fill the pool in order.
+    `rng_seed.spawn` would hand out next; the classes fill the pool in order.
+    The seeds' generator states are derived piece by piece
+    (`seeding.spawned_states`), so `rng_seed` spawns nothing: its
+    `n_children_spawned` is left as it was.
     """
     if not classes:
         raise ConfigError("at least one trace class is required")
@@ -374,15 +399,14 @@ def generate_pool(
 
     if not isinstance(rng_seed, np.random.SeedSequence):
         rng_seed = np.random.SeedSequence(rng_seed)
-    # Successive spawn calls hand out the children of one spawn(pool_size) in
-    # order, so each piece spawns its own seeds and none outlive it.
+    child = rng_seed.n_children_spawned
     parts = []
     for params, count in zip(classes, counts):
         step = max(1, _BLOCK_ELEMENTS // _block_width(params, horizon_s))
-        parts.extend(
-            _generate_rows(params, horizon_s, rng_seed.spawn(min(step, count - i)))
-            for i in range(0, count, step)
-        )
+        for i in range(0, count, step):
+            n = min(step, count - i)
+            parts.append(_generate_rows(params, horizon_s, spawned_states(rng_seed, child, n)))
+            child += n
     return _table(parts, horizon_s)
 
 

@@ -338,6 +338,17 @@ def test_generate_trace_matches_loop_oracle_across_blocks():
         assert len(trace.transitions) > 2 * traces._MAX_BLOCK
 
 
+def test_generate_trace_takes_any_default_rng_seed():
+    # A Generator or BitGenerator is read, not advanced; other kinds than PCG64 work.
+    params = TraceClassParams(30.0, 20.0, 0.5)
+    for make in (np.random.default_rng, np.random.PCG64, np.random.MT19937, np.random.Philox):
+        seed = make(5)
+        trace = generate_trace(params, 3_000.0, seed)
+        assert np.random.default_rng(seed).random() == np.random.default_rng(make(5)).random()
+        expected = oracles.loop_generate_trace(params, 3_000.0, make(5))
+        assert (trace.start_available, trace.transitions) == expected
+
+
 def test_generate_trace_matches_loop_oracle_random_params():
     # Means from 0.01 s to 5 000 s and horizons from 10 s to 180 000 s, kept to
     # at most ~20 000 expected flips so the oracle stays quick.
@@ -511,6 +522,34 @@ def test_generated_default_pool_matches_the_per_trace_oracle():
     for i, (trace, seed) in enumerate(zip(pool, seeds)):
         expected = oracles.block_generate_trace(DEFAULT_TRACE_CLASSES[i // 100], 36_000.0, seed)
         assert (trace.start_available, trace.transitions) == expected
+
+
+def test_generated_pool_matches_the_oracle_for_every_kind_of_seed():
+    # synthetic_pool's seed is the first of three that SeedSequence(s) spawns;
+    # large ints take more than one 32-bit word, and 2**128 + 1 is longer than
+    # the pool, so the spawned children's entropy is not zero-padded.
+    for seed in (np.random.SeedSequence(7).spawn(3)[0], 2**32, 2**128 + 1):
+        pool = generate_pool(list(DEFAULT_TRACE_CLASSES), 30, 36_000.0, seed)
+        parent = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        for i, (trace, child) in enumerate(zip(pool, parent.spawn(30))):
+            expected = oracles.block_generate_trace(DEFAULT_TRACE_CLASSES[i // 10], 36_000.0, child)
+            assert (trace.start_available, trace.transitions) == expected
+
+
+def test_generated_pool_continues_after_the_children_already_spawned():
+    # The pool is drawn from the children that spawn would hand out next, as
+    # the pool of spawned seeds was, but the caller's SeedSequence spawns none.
+    parent = np.random.SeedSequence(11)
+    parent.spawn(5)
+    pool = generate_pool(POOL_CLASSES, 12, 10_000.0, parent)
+    assert parent.n_children_spawned == 5
+    twin = np.random.SeedSequence(11)
+    twin.spawn(5)
+    classes = [POOL_CLASSES[0]] * 6 + [POOL_CLASSES[2]] * 3 + [POOL_CLASSES[3]] * 3
+    for trace, params, child in zip(pool, classes, twin.spawn(12)):
+        assert (trace.start_available, trace.transitions) == oracles.block_generate_trace(
+            params, 10_000.0, child
+        )
 
 
 def test_rank_order_equals_sorted_with_exact_ties():
