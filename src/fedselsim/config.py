@@ -324,6 +324,18 @@ def _build(cls, data, path: str):
         raise ConfigError(f"{prefix}{exc}") from None
 
 
+# The most flips a synthetic pool may be expected to hold: 2 GiB of float64.
+# Every trace is drawn up to the horizon, so a far longer horizon would
+# exhaust memory long before it failed in any other way.
+MAX_POOL_FLIPS = 1 << 28
+
+
+def synthetic_pool_size(cfg: ExperimentConfig) -> int:
+    """The synthetic pool's size: pool_size, by default three traces per client."""
+    pool_size = cfg.scenario.synthetic.pool_size
+    return pool_size if pool_size is not None else 3 * cfg.population.num_clients
+
+
 def synthetic_horizon_s(cfg: ExperimentConfig) -> float:
     """The synthetic traces' horizon: horizon_s, by default one timeout per round."""
     horizon = cfg.scenario.synthetic.horizon_s
@@ -371,6 +383,20 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             cfg.round.timeout_s <= horizon + 1e-9,
             f"scenario.synthetic.horizon_s ({horizon}) must be >= round.timeout_s "
             f"({cfg.round.timeout_s}): no round fits in the trace horizon",
+        )
+    if cfg.scenario.source == "synthetic":
+        # A trace of a class flips 2 / (mean_up_s + mean_down_s) times a second.
+        syn, pool_size = cfg.scenario.synthetic, synthetic_pool_size(cfg)
+        total = sum(c.weight for c in syn.classes)
+        flips = sum(
+            c.weight / total * pool_size * (2.0 * horizon / (c.mean_up_s + c.mean_down_s))
+            for c in syn.classes
+            if c.weight > 0
+        )
+        _require(
+            flips <= MAX_POOL_FLIPS,
+            f"scenario.synthetic.horizon_s ({horizon}) is too long: the pool of {pool_size} "
+            f"traces would hold about {flips:.3g} flips, over the limit of {MAX_POOL_FLIPS}",
         )
     return cfg
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import learning
-from .config import ExperimentConfig, synthetic_horizon_s
+from .config import ExperimentConfig, synthetic_horizon_s, synthetic_pool_size
 from .cost import generate_profiles, parse_capability_file, round_time
 from .errors import ConfigError, SimulationError
 from .selectors import SelectorState, make_selector, update_history
@@ -163,9 +163,8 @@ def _world_digest(client_ids, caps, pool: TraceTable, picks: list[int], order, o
 def synthetic_pool(cfg: ExperimentConfig) -> TraceTable:
     """The synthetic trace pool exactly as build_world generates it."""
     seed_tracegen = np.random.SeedSequence(cfg.seeds.scenario_seed).spawn(3)[0]
-    syn = cfg.scenario.synthetic
-    pool_size = syn.pool_size if syn.pool_size is not None else 3 * cfg.population.num_clients
-    return generate_pool(list(syn.classes), pool_size, synthetic_horizon_s(cfg), seed_tracegen)
+    classes = list(cfg.scenario.synthetic.classes)
+    return generate_pool(classes, synthetic_pool_size(cfg), synthetic_horizon_s(cfg), seed_tracegen)
 
 
 def build_world(cfg: ExperimentConfig) -> World:

@@ -14,7 +14,13 @@ import yaml
 import oracles
 from fedselsim import engine
 from fedselsim.cli import main
-from fedselsim.config import SELECTOR_KINDS, ExperimentConfig, config_from_dict, load_config
+from fedselsim.config import (
+    MAX_POOL_FLIPS,
+    SELECTOR_KINDS,
+    ExperimentConfig,
+    config_from_dict,
+    load_config,
+)
 from fedselsim.engine import ROUND_LOG_COLUMNS, run_experiment, synthetic_pool
 from fedselsim.errors import ConfigError
 from fedselsim.traces import parse_trace_file
@@ -161,6 +167,54 @@ def test_rejected_configs(data, fragment):
 def test_horizon_that_can_finish_a_run_is_accepted(data):
     # Only a horizon the engine would refuse at round 0 is a config error.
     config_from_dict(data)
+
+
+# One class of mean 2 s cycles: a trace flips horizon_s times on average.
+FAST_CLASS = {"mean_up_s": 1.0, "mean_down_s": 1.0, "start_available_prob": 0.5}
+
+
+def test_pool_of_more_expected_flips_than_the_limit_is_rejected():
+    def synthetic(horizon, **extra):
+        return {"scenario": {"synthetic": {
+            "pool_size": 1024, "horizon_s": horizon, "classes": [FAST_CLASS], **extra
+        }}}
+
+    assert MAX_POOL_FLIPS == 2**28
+    config_from_dict(synthetic(2.0**18))   # exactly the limit
+    message = (
+        r"^scenario\.synthetic\.horizon_s \(262406\.144\) is too long: the pool of 1024 "
+        r"traces would hold about 2\.69e\+08 flips, over the limit of 268435456$"
+    )
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(synthetic(2.0**18 * 1.001))
+    # A class of weight 0 draws no trace, so its flip rate, here infinite, does not count.
+    idle = dict(FAST_CLASS, mean_up_s=5e-324, mean_down_s=5e-324, weight=0)
+    config_from_dict(synthetic(2.0**18, classes=[FAST_CLASS, idle]))
+    # Half the pool of the fast class, half of one that flips 1/5 as often.
+    slow = dict(FAST_CLASS, mean_up_s=5.0, mean_down_s=5.0)
+    config_from_dict(synthetic(2.0**18 * 5 / 3, classes=[FAST_CLASS, slow]))
+    with pytest.raises(ConfigError, match=r"about 2\.69e\+08 flips"):
+        config_from_dict(synthetic(2.0**18 * 5 / 3 * 1.001, classes=[FAST_CLASS, slow]))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"scenario": {"synthetic": {"horizon_s": 1.0e300}}},
+        {"scenario": {"synthetic": {"horizon_s": 1.7e308}}},   # 2 * horizon_s overflows
+        {"round": {"timeout_s": 1.0e300}},   # the default horizon, num_rounds * timeout_s
+        {"scenario": {"synthetic": {"pool_size": 10**7, "horizon_s": 36_000.0}}},
+    ],
+)
+def test_oversized_synthetic_pool_is_a_config_error(data):
+    with pytest.raises(ConfigError, match=r"^scenario\.synthetic\.horizon_s \(.* over the limit"):
+        config_from_dict(data)
+
+
+def test_flip_limit_ignores_a_trace_file_scenario():
+    config_from_dict(
+        {"scenario": {"source": "file", "trace_file": "t.txt", "synthetic": {"horizon_s": 1e300}}}
+    )
 
 
 def test_population_must_cover_cohort():
@@ -380,12 +434,25 @@ def _is_finite(value):
         return False
 
 
+def _expected_pool_flips(cfg):
+    # Each trace of a class flips 2 / (mean_up_s + mean_down_s) times a second.
+    syn = cfg.scenario.synthetic
+    horizon = syn.horizon_s or max(cfg.round.num_rounds, 1) * cfg.round.timeout_s
+    pool_size = syn.pool_size or 3 * cfg.population.num_clients
+    total = sum(c.weight for c in syn.classes)
+    return sum(
+        c.weight / total * pool_size * 2 * horizon / (c.mean_up_s + c.mean_down_s)
+        for c in syn.classes
+    )
+
+
 def test_config_loader_matches_the_parent_loader():
-    # One difference is allowed: the package takes only finite numbers at float
-    # keys. Otherwise both accept the same mappings, with the same to_dict(),
-    # and reject the rest.
+    # Two differences are allowed: the package takes only finite numbers at
+    # float keys, and it rejects a synthetic pool expected to hold more than
+    # MAX_POOL_FLIPS flips. Otherwise both accept the same mappings, with the
+    # same to_dict(), and reject the rest.
     rnd = random.Random(20261018)
-    counts = {"accepted": 0, "rejected": 0, "non-finite": 0}
+    counts = {"accepted": 0, "rejected": 0, "non-finite": 0, "too many flips": 0}
     for _ in range(20_000):
         data = random_config(rnd)
         expected, _ = _outcome(oracles.parent_config_from_dict, data)
@@ -394,11 +461,17 @@ def test_config_loader_matches_the_parent_loader():
         counts["rejected" if message else "accepted"] += 1
         if got != expected:
             assert got == "rejected" and expected != "rejected", data
+            if message.startswith("scenario.synthetic.horizon_s (") and " flips, over " in message:
+                parent = oracles.parent_config_from_dict(data)
+                assert parent.scenario.source == "synthetic", message
+                assert _expected_pool_flips(parent) > MAX_POOL_FLIPS, message
+                counts["too many flips"] += 1
+                continue
             path, finite, _ = message.partition(" must be finite, got ")
             assert finite and FLOAT_KEY.fullmatch(path), message
             assert not _is_finite(_at(data, path)), message
             counts["non-finite"] += 1
-    assert counts["non-finite"] >= 1, counts
+    assert counts["non-finite"] >= 1 and counts["too many flips"] >= 1, counts
     assert min(counts["accepted"], counts["rejected"]) >= 2_000, counts
 
 
@@ -605,6 +678,26 @@ def test_cli_unrunnable_config_exits_1(tmp_path, capsys, command, extra, message
     cfg_path = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "gen-traces"])
+def test_cli_oversized_horizon_exits_1_before_drawing_a_trace(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args):
+        raise AssertionError("a trace pool was drawn")
+
+    monkeypatch.setattr(engine, "generate_pool", refuse)
+    text = (
+        "population:\n  num_clients: 10\nround:\n  clients_per_round: 4\n  num_rounds: 3\n"
+        "scenario:\n  synthetic:\n    horizon_s: 1.0e300\n"
+    )
+    cfg_path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scenario.synthetic.horizon_s (1e+300) is too long: the pool of 30 traces "
+        "would hold about 9.37e+298 flips, over the limit of 268435456"
+    ]
+    assert not out.exists()
 
 
 def _trace_class(weight):
