@@ -384,20 +384,20 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             f"scenario.synthetic.horizon_s ({horizon}) must be >= round.timeout_s "
             f"({cfg.round.timeout_s}): no round fits in the trace horizon",
         )
-    if cfg.scenario.source == "synthetic":
-        # A trace of a class flips 2 / (mean_up_s + mean_down_s) times a second.
-        syn, pool_size = cfg.scenario.synthetic, synthetic_pool_size(cfg)
-        total = sum(c.weight for c in syn.classes)
-        flips = sum(
-            c.weight / total * pool_size * (2.0 * horizon / (c.mean_up_s + c.mean_down_s))
-            for c in syn.classes
-            if c.weight > 0
-        )
-        _require(
-            flips <= MAX_POOL_FLIPS,
-            f"scenario.synthetic.horizon_s ({horizon}) is too long: the pool of {pool_size} "
-            f"traces would hold about {flips:.3g} flips, over the limit of {MAX_POOL_FLIPS}",
-        )
+    # Checked whatever the source: gen-traces draws the synthetic pool of any config.
+    # A trace of a class flips 2 / (mean_up_s + mean_down_s) times a second.
+    syn, pool_size = cfg.scenario.synthetic, synthetic_pool_size(cfg)
+    total = sum(c.weight for c in syn.classes)
+    flips = sum(
+        c.weight / total * pool_size * (2.0 * horizon / (c.mean_up_s + c.mean_down_s))
+        for c in syn.classes
+        if c.weight > 0
+    )
+    _require(
+        flips <= MAX_POOL_FLIPS,
+        f"scenario.synthetic.horizon_s ({horizon}) is too long: the pool of {pool_size} "
+        f"traces would hold about {flips:.3g} flips, over the limit of {MAX_POOL_FLIPS}",
+    )
     return cfg
 
 

@@ -174,10 +174,15 @@ def build_world(cfg: ExperimentConfig) -> World:
 
     if cfg.scenario.source == "file":
         path = cfg.scenario.trace_file
-        traces = parse_trace_file(_read_input(path, "trace file"))
-        if not traces:
+        pool = parse_trace_file(_read_input(path, "trace file"))
+        if len(pool) == 0:
             raise ConfigError(f"trace file {path} holds no traces")
-        pool = TraceTable.from_traces(traces)
+        # config_from_dict's check of a synthetic horizon, which it cannot make for a file.
+        if cfg.round.num_rounds >= 1 and cfg.round.timeout_s > pool.horizon_s + 1e-9:
+            raise ConfigError(
+                f"trace file {path}: its horizon ({pool.horizon_s}) must be >= round.timeout_s "
+                f"({cfg.round.timeout_s}): no round fits in the trace horizon"
+            )
     else:
         pool = synthetic_pool(cfg)
 

@@ -1,12 +1,12 @@
 """Client availability traces: synthesis, ingestion, ranking, and scenario building.
 
 A pool of traces is one `TraceTable`: a start state per trace, int64 offsets and
-every flip in one float64 array. `generate_pool` builds it class by class,
-`rank_traces` orders it by each trace's (available fraction, flips per hour),
-and `build_scenario` picks the traces that become the clients' own
-`AvailabilityTrace`s. `trace_stats` and `generate_trace` are the one-trace cases
-of the table code. The synthesis knobs (TraceClassParams) are a config section,
-defined in `config`.
+every flip in one float64 array. `generate_pool` draws it class by class and
+`parse_trace_file` reads it from a trace file; `serialize_trace_file` writes it
+back. `rank_traces` orders it by each trace's (available fraction, flips per
+hour), and `build_scenario` picks the traces that become the clients' own
+`AvailabilityTrace` rows. The synthesis knobs (TraceClassParams) are a config
+section, defined in `config`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 
 import numpy as np
 
@@ -39,19 +39,26 @@ def _check_horizon(horizon_s: float) -> None:
         raise ValueError(f"horizon_s must be finite and > 0, got {horizon_s}")
 
 
-def _check_flips(flips: np.ndarray, horizon_s: float, offsets: np.ndarray | None = None) -> None:
-    """Raise ValueError at the first flip outside [0, horizon_s] or not above the one before it.
+class _FlipError(ValueError):
+    """A flip that breaks the table's rules; `index` is its place in the flips array."""
 
-    `offsets` splits `flips` into traces (one trace when None); a trace's first
-    flip has nothing before it. The message is that of the first failing
-    flip in order, as a flip-by-flip check would raise it.
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def _check_flips(flips: np.ndarray, horizon_s: float, offsets: np.ndarray) -> None:
+    """Raise _FlipError at the first flip outside [0, horizon_s] or not above the one before it.
+
+    `offsets` splits `flips` into traces; a trace's first flip has nothing
+    before it. The message is that of the first failing flip in order, as a
+    flip-by-flip check would raise it (`loop_check_trace` in `tests/oracles.py`).
     """
     _check_horizon(horizon_s)
     in_range = (flips >= 0.0) & (flips <= horizon_s)   # False for NaN
     rising = flips[1:] > flips[:-1]
-    if offsets is not None:
-        firsts = offsets[1:-1]
-        rising[firsts[(firsts > 0) & (firsts < len(flips))] - 1] = True
+    firsts = offsets[1:-1]
+    rising[firsts[(firsts > 0) & (firsts < len(flips))] - 1] = True
     ok = in_range.copy()
     ok[1:] &= rising
     if ok.all():
@@ -59,43 +66,32 @@ def _check_flips(flips: np.ndarray, horizon_s: float, offsets: np.ndarray | None
     i = int(np.argmin(ok))
     t = flips[i].item()
     if not in_range[i]:
-        raise ValueError(f"transition {t} outside [0, {horizon_s}]")
-    raise ValueError(f"transitions must be strictly increasing (at {t})")
+        raise _FlipError(f"transition {t} outside [0, {horizon_s}]", i)
+    raise _FlipError(f"transitions must be strictly increasing (at {t})", i)
 
 
 @dataclass(frozen=True)
 class AvailabilityTrace:
-    """Piecewise-constant on/off timeline: a start state plus flip timestamps.
+    """One row of a checked TraceTable: a start state plus flip timestamps.
 
-    A flip at timestamp tau takes effect for every query t >= tau.
+    The timeline is piecewise constant; a flip at timestamp tau takes effect
+    for every query t >= tau. The package makes rows only in
+    `TraceTable.__getitem__`, so a row is not checked again.
     """
 
     start_available: bool
     transitions: tuple[float, ...]
     horizon_s: float
 
-    def __post_init__(self):
-        _check_flips(np.array(self.transitions, dtype=np.float64), self.horizon_s)
-
-    @classmethod
-    def _of_checked(cls, start_available: bool, transitions: tuple, horizon_s: float):
-        """A row of a TraceTable, which checked it when it was built; not checked again."""
-        trace = object.__new__(cls)
-        object.__setattr__(trace, "start_available", start_available)
-        object.__setattr__(trace, "transitions", transitions)
-        object.__setattr__(trace, "horizon_s", horizon_s)
-        return trace
-
 
 @dataclass(frozen=True, eq=False)
-class TraceTable(Sequence):
+class TraceTable:
     """A pool of traces sharing one horizon, as arrays.
 
     Trace i starts in state `start[i]` and flips at
     `flips[offsets[i]:offsets[i + 1]]`. Building a table checks every flip in
-    one pass, with AvailabilityTrace's rules and messages, and then makes the
-    three arrays read-only. Item i is trace i as an AvailabilityTrace, and a
-    table equals any sequence of equal traces.
+    one pass and then makes the three arrays read-only. Item i is trace i as
+    an AvailabilityTrace row.
     """
 
     start: np.ndarray     # bool, one per trace
@@ -108,37 +104,13 @@ class TraceTable(Sequence):
         for array in (self.start, self.offsets, self.flips):
             array.flags.writeable = False
 
-    @classmethod
-    def from_traces(cls, traces: Sequence[AvailabilityTrace]) -> TraceTable:
-        if not traces:
-            raise ValueError("a trace table needs at least one trace")
-        horizon = traces[0].horizon_s
-        if any(tr.horizon_s != horizon for tr in traces):
-            raise ValueError("all traces in one table must share a horizon")
-        counts = np.fromiter((len(tr.transitions) for tr in traces), np.int64, len(traces))
-        part = (
-            np.fromiter((tr.start_available for tr in traces), bool, len(traces)),
-            counts,
-            np.fromiter(
-                chain.from_iterable(tr.transitions for tr in traces), np.float64, counts.sum()
-            ),
-        )
-        return _table([part], horizon)
-
     def __len__(self) -> int:
         return len(self.start)
 
     def __getitem__(self, i) -> AvailabilityTrace:
         i = range(len(self))[operator.index(i)]
         flips = self.flips[self.offsets[i] : self.offsets[i + 1]]
-        return AvailabilityTrace._of_checked(
-            bool(self.start[i]), tuple(flips.tolist()), self.horizon_s
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
+        return AvailabilityTrace(bool(self.start[i]), tuple(flips.tolist()), self.horizon_s)
 
 
 def is_available(trace: AvailabilityTrace, t: float) -> bool:
@@ -189,24 +161,13 @@ def _table_stats(table: TraceTable) -> tuple[np.ndarray, np.ndarray]:
     return up / horizon, counts / (horizon / 3600.0)
 
 
-def trace_stats(trace: AvailabilityTrace) -> tuple[float, float]:
-    """(available fraction in [0, 1], flips per hour) over [0, horizon).
-
-    The fraction integrates the piecewise-constant state exactly.
-    """
-    fraction, rate = _table_stats(TraceTable.from_traces([trace]))
-    return float(fraction[0]), float(rate[0])
-
-
-def rank_traces(traces: Sequence[AvailabilityTrace]) -> list[int]:
+def rank_traces(table: TraceTable) -> list[int]:
     """Indices sorted worst-to-best: fraction ascending, then more flips first.
 
     Flappier traces rank worse on equal fraction; index breaks remaining ties.
-    A TraceTable is ranked as it is; other sequences become one first.
     """
-    if not traces:
-        raise ValueError("cannot rank an empty trace list")
-    table = traces if isinstance(traces, TraceTable) else TraceTable.from_traces(traces)
+    if not len(table):
+        raise ValueError("cannot rank an empty trace table")
     fraction, rate = _table_stats(table)
     return np.lexsort((np.arange(len(table)), -rate, fraction)).tolist()
 
@@ -302,7 +263,7 @@ def _generate_rows(params: TraceClassParams, horizon_s: float, states: Sequence[
     reading `bit_generator.state` after every row would cost more.
     """
     k = _block_width(params, horizon_s)
-    # PCG64, unless generate_trace was given a bit generator of another kind
+    # PCG64, unless the states are of another kind of bit generator
     rng = np.random.Generator(getattr(np.random, states[0]["bit_generator"])(0))
     bitgen = rng.bit_generator
     block = np.empty((len(states), k))
@@ -354,32 +315,14 @@ def _generate_rows(params: TraceClassParams, horizon_s: float, states: Sequence[
     return start, counts, flips
 
 
-def _table(parts, horizon_s: float) -> TraceTable:
-    """The table of consecutive (start states, flip counts, flips) parts."""
-    starts, counts, flips = zip(*parts)
-    counts = np.concatenate(counts)
-    offsets = np.zeros(len(counts) + 1, np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return TraceTable(np.concatenate(starts), offsets, np.concatenate(flips), horizon_s)
-
-
-def generate_trace(params: TraceClassParams, horizon_s: float, rng_seed) -> AvailabilityTrace:
-    """One trace of the class, drawn from `default_rng(rng_seed)` (see _generate_rows).
-
-    Only the generator's state is read: a Generator or BitGenerator passed in
-    is not advanced.
-    """
-    state = np.random.default_rng(rng_seed).bit_generator.state
-    return _table([_generate_rows(params, horizon_s, [state])], horizon_s)[0]
-
-
 def generate_pool(
     classes: list[TraceClassParams], pool_size: int, horizon_s: float, rng_seed
 ) -> TraceTable:
     """Generate a pool mixing the given classes by weight (largest-remainder counts).
 
-    Trace i is `generate_trace` of its class with the i-th seed that
-    `rng_seed.spawn` would hand out next; the classes fill the pool in order.
+    Trace i is drawn by `_generate_rows` for its class from the state of
+    `default_rng` of the i-th seed that `rng_seed.spawn` would hand out next;
+    the classes fill the pool in order.
     The seeds' generator states are derived piece by piece
     (`seeding.spawned_states`), so `rng_seed` spawns nothing: its
     `n_children_spawned` is left as it was.
@@ -407,13 +350,23 @@ def generate_pool(
             n = min(step, count - i)
             parts.append(_generate_rows(params, horizon_s, spawned_states(rng_seed, child, n)))
             child += n
-    return _table(parts, horizon_s)
+    starts, counts, flips = zip(*parts)
+    offsets = np.zeros(sum(map(len, counts)) + 1, np.int64)
+    np.cumsum(np.concatenate(counts), out=offsets[1:])
+    return TraceTable(np.concatenate(starts), offsets, np.concatenate(flips), horizon_s)
 
 
-def parse_trace_file(text: str) -> list[AvailabilityTrace]:
-    """Parse the line-based trace format (see serialize_trace_file for the shape)."""
+def parse_trace_file(text: str) -> TraceTable:
+    """Parse the line-based trace format (see serialize_trace_file) into one table.
+
+    The lines are scanned in order, and a line that breaks the syntax (the
+    header, a start state, a non-numeric value, a duplicate id) raises at
+    once. The table then checks every flip in one pass, and its first faulty
+    flip is reported at the line of its trace. So in a file with both kinds of
+    fault, a syntax fault is reported before a flip fault on an earlier line.
+    """
     horizon: float | None = None
-    traces: list[AvailabilityTrace] = []
+    starts, counts, flips, linenos = [], [], [], []
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -442,28 +395,28 @@ def parse_trace_file(text: str) -> list[AvailabilityTrace]:
             raise ParseError(f"line {lineno}: duplicate client id {fields[0]!r}")
         seen.add(fields[0])
         try:
-            times = tuple(float(v) for v in fields[2:])
+            flips.extend(map(float, fields[2:]))
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric timestamp") from None
-        try:
-            traces.append(AvailabilityTrace(fields[1] == "1", times, horizon))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+        starts.append(fields[1] == "1")
+        counts.append(len(fields) - 2)
+        linenos.append(lineno)
     if horizon is None:
         raise ParseError("trace file has no !horizon header")
-    return traces
+    offsets = np.cumsum([0, *counts], dtype=np.int64)
+    try:
+        return TraceTable(np.array(starts, bool), offsets, np.array(flips, np.float64), horizon)
+    except _FlipError as exc:
+        trace = int(np.searchsorted(offsets, exc.index, side="right")) - 1
+        raise ParseError(f"line {linenos[trace]}: {exc}") from None
 
 
-def serialize_trace_file(traces: Sequence[AvailabilityTrace]) -> str:
+def serialize_trace_file(table: TraceTable) -> str:
     """One `!horizon` header, then `<client_id> <0|1> <t1> <t2> ...` per trace."""
-    if not traces:
-        raise ValueError("cannot serialize an empty trace list")
-    horizon = traces[0].horizon_s
-    lines = [f"!horizon {horizon!r}"]
-    for i, tr in enumerate(traces):
-        if tr.horizon_s != horizon:
-            raise ValueError("all traces in one file must share a horizon")
-        parts = [f"c{i}", "1" if tr.start_available else "0"]
-        parts.extend(repr(t) for t in tr.transitions)
-        lines.append(" ".join(parts))
+    if not len(table):
+        raise ValueError("cannot serialize an empty trace table")
+    flips, bounds = table.flips.tolist(), table.offsets.tolist()
+    lines = [f"!horizon {table.horizon_s!r}"]
+    for i, (start, lo, hi) in enumerate(zip(table.start.tolist(), bounds, bounds[1:])):
+        lines.append(" ".join([f"c{i}", "1" if start else "0", *map(repr, flips[lo:hi])]))
     return "\n".join(lines) + "\n"

@@ -30,7 +30,7 @@ from fedselsim.selectors import (
     select_tifl,
     tier_probabilities,
 )
-from fedselsim.traces import AvailabilityTrace, serialize_trace_file
+from fedselsim.traces import TraceTable, serialize_trace_file
 from selector_history import mda_raw_weight, state_from_history
 
 SEEDS = [1, 2, 3, 4, 5]
@@ -80,7 +80,9 @@ def separable_reports(tmp_path_factory):
     # converge and no round may fail
     path = tmp_path_factory.mktemp("acceptance") / "always_on.txt"
     path.write_text(
-        serialize_trace_file([AvailabilityTrace(True, (), 10_000.0) for _ in range(300)])
+        serialize_trace_file(
+            TraceTable(np.ones(300, bool), np.zeros(301, np.int64), np.empty(0), 10_000.0)
+        )
     )
     cfg = config_from_dict(
         {

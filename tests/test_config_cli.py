@@ -211,10 +211,11 @@ def test_oversized_synthetic_pool_is_a_config_error(data):
         config_from_dict(data)
 
 
-def test_flip_limit_ignores_a_trace_file_scenario():
-    config_from_dict(
-        {"scenario": {"source": "file", "trace_file": "t.txt", "synthetic": {"horizon_s": 1e300}}}
-    )
+def test_flip_limit_holds_for_a_trace_file_scenario():
+    # gen-traces draws the synthetic pool of a file config too.
+    scenario = {"source": "file", "trace_file": "t.txt", "synthetic": {"horizon_s": 1e300}}
+    with pytest.raises(ConfigError, match=r"^scenario\.synthetic\.horizon_s \(1e\+300\) is too long"):
+        config_from_dict({"scenario": scenario})
 
 
 def test_population_must_cover_cohort():
@@ -648,6 +649,35 @@ def test_cli_trace_file_without_traces_is_one_error_line(tmp_path, capsys, comma
     assert capsys.readouterr().err.splitlines() == [f"error: trace file {path} holds no traces"]
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_trace_file_horizon_shorter_than_a_round_exits_1(tmp_path, capsys, command):
+    # The synthetic check of config_from_dict, made once the file's horizon is read.
+    path = tmp_path / "traces.txt"
+    path.write_text("!horizon 50\n" + "".join(f"c{i} 1\n" for i in range(15)))
+    cfg_path = write_cfg(
+        tmp_path,
+        "population:\n  num_clients: 5\nround:\n  clients_per_round: 2\n  num_rounds: 3\n"
+        f"scenario:\n  source: file\n  trace_file: {path}\n",
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: trace file {path}: its horizon (50.0) must be >= round.timeout_s (120.0): "
+        "no round fits in the trace horizon"
+    ]
+    assert not out.exists()
+
+
+def test_cli_run_short_trace_file_horizon_exits_2(tmp_path, capsys):
+    # As test_cli_run_short_horizon_exits_2, from a file: round 0 fits, a later one does not.
+    path = tmp_path / "traces.txt"
+    path.write_text("!horizon 150\n" + "".join(f"c{i} 1\n" for i in range(36)))
+    text = BASE_YAML + f"scenario:\n  source: file\n  trace_file: {path}\n"
+    cfg_path = write_cfg(tmp_path, text)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert "would pass the trace horizon 150.0s" in capsys.readouterr().err
+
+
 def test_cli_run_short_horizon_exits_2(tmp_path, capsys):
     # Round 0 fits (150 s >= the 120 s timeout), but every round lasts at least
     # the fastest client's ~7 s, so by round 5 the next deadline passes 150 s.
@@ -682,22 +712,28 @@ def test_cli_unrunnable_config_exits_1(tmp_path, capsys, command, extra, message
 
 @pytest.mark.parametrize("command", ["run", "compare", "gen-traces"])
 def test_cli_oversized_horizon_exits_1_before_drawing_a_trace(tmp_path, capsys, monkeypatch, command):
+    # gen-traces draws the synthetic pool whatever the source, so a file
+    # config is held to the same limit.
     def refuse(*args):
         raise AssertionError("a trace pool was drawn")
 
     monkeypatch.setattr(engine, "generate_pool", refuse)
-    text = (
-        "population:\n  num_clients: 10\nround:\n  clients_per_round: 4\n  num_rounds: 3\n"
-        "scenario:\n  synthetic:\n    horizon_s: 1.0e300\n"
-    )
-    cfg_path = write_cfg(tmp_path, text)
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg_path, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "error: scenario.synthetic.horizon_s (1e+300) is too long: the pool of 30 traces "
-        "would hold about 9.37e+298 flips, over the limit of 268435456"
-    ]
-    assert not out.exists()
+    path = tmp_path / "traces.txt"
+    path.write_text("!horizon 1000\n" + "".join(f"c{i} 1\n" for i in range(30)))
+    for source in ("synthetic", "file"):
+        text = (
+            "population:\n  num_clients: 10\nround:\n  clients_per_round: 4\n  num_rounds: 3\n"
+            f"scenario:\n  source: {source}\n  trace_file: {path}\n"
+            "  synthetic:\n    horizon_s: 1.0e300\n"
+        )
+        cfg_path = write_cfg(tmp_path, text)
+        out = tmp_path / f"out-{source}"
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 1, source
+        assert capsys.readouterr().err.splitlines() == [
+            "error: scenario.synthetic.horizon_s (1e+300) is too long: the pool of 30 traces "
+            "would hold about 9.37e+298 flips, over the limit of 268435456"
+        ], source
+        assert not out.exists(), source
 
 
 def _trace_class(weight):
@@ -853,8 +889,10 @@ def test_cli_gen_traces_round_trips(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path)
     out = tmp_path / "traces.txt"
     assert main(["gen-traces", "--config", cfg_path, "--out", str(out)]) == 0
-    parsed = parse_trace_file(out.read_text())
-    assert parsed == synthetic_pool(load_config(cfg_path))
+    parsed, pool = parse_trace_file(out.read_text()), synthetic_pool(load_config(cfg_path))
+    assert parsed.horizon_s == pool.horizon_s
+    for name in ("start", "offsets", "flips"):
+        assert getattr(parsed, name).tobytes() == getattr(pool, name).tobytes(), name
     assert len(parsed) == 36  # 3 * num_clients
     assert "wrote 36 traces" in capsys.readouterr().out
 

@@ -25,7 +25,7 @@ from fedselsim.engine import (
 )
 from fedselsim.errors import ConfigError, SimulationError
 from fedselsim.selectors import SelectorState, update_history
-from fedselsim.traces import AvailabilityTrace, is_available, serialize_trace_file
+from fedselsim.traces import AvailabilityTrace, TraceTable, is_available, serialize_trace_file
 
 
 def tiny_world(traces, round_times, horizon=1_000_000.0):
@@ -199,9 +199,8 @@ def always_on_cfg(tmp_path, num_clients=10, num_rounds=30, clients_per_round=4):
     cfg.round.eval_every = 10
     cfg.task.num_samples = 400
     horizon = num_rounds * cfg.round.timeout_s * 2
-    pool = [
-        AvailabilityTrace(True, (), horizon) for _ in range(3 * num_clients)
-    ]
+    n = 3 * num_clients
+    pool = TraceTable(np.ones(n, bool), np.zeros(n + 1, np.int64), np.empty(0), horizon)
     path = tmp_path / "always_on.txt"
     path.write_text(serialize_trace_file(pool))
     cfg.scenario.source = "file"
@@ -355,7 +354,7 @@ def test_skipped_last_round_reports_the_final_model(tmp_path):
     cfg.round.eval_every = 5
     leave = run_experiment(cfg, 2).rounds[9].start_s
     horizon = 2 * cfg.round.num_rounds * cfg.round.timeout_s
-    pool = [AvailabilityTrace(True, (leave,), horizon)] * 18
+    pool = TraceTable(np.ones(18, bool), np.arange(19, dtype=np.int64), np.full(18, leave), horizon)
     Path(cfg.scenario.trace_file).write_text(serialize_trace_file(pool))
     world = build_world(cfg)
     report = run_experiment(cfg, 2, world=world)

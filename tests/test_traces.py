@@ -14,13 +14,11 @@ from fedselsim.traces import (
     TraceTable,
     build_scenario,
     generate_pool,
-    generate_trace,
     is_available,
     next_flip,
     parse_trace_file,
     rank_traces,
     serialize_trace_file,
-    trace_stats,
 )
 
 
@@ -30,6 +28,41 @@ def random_trace(rng, horizon=1000.0):
     while len(set(times)) != len(times):  # vanishing chance, but keep strictness
         times = tuple(sorted(rng.uniform(0.0, horizon, size=count).tolist()))
     return AvailabilityTrace(bool(rng.integers(2)), times, horizon)
+
+
+def raw_table(start, flip_lists, horizon):
+    """A TraceTable from plain lists, so that it is the table's own pass that checks them."""
+    offsets = np.concatenate(([0], np.cumsum([len(f) for f in flip_lists]))).astype(np.int64)
+    flips = np.array([t for f in flip_lists for t in f], dtype=np.float64)
+    return TraceTable(np.array(start, dtype=bool), offsets, flips, horizon)
+
+
+def table_of(rows):
+    """The checked table of AvailabilityTrace rows that share a horizon."""
+    return raw_table(
+        [tr.start_available for tr in rows], [tr.transitions for tr in rows], rows[0].horizon_s
+    )
+
+
+def assert_same_table(got, expected):
+    assert got.horizon_s == expected.horizon_s
+    for name in ("start", "offsets", "flips"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def stats_of(trace):
+    """(available fraction, flips per hour) of one trace, as the ranking sees it."""
+    fraction, rate = traces._table_stats(table_of([trace]))
+    return float(fraction[0]), float(rate[0])
+
+
+def generate_one(params, horizon_s, rng_seed):
+    """One trace of the class, drawn from `default_rng(rng_seed)`'s state."""
+    state = np.random.default_rng(rng_seed).bit_generator.state
+    start, counts, flips = traces._generate_rows(params, horizon_s, [state])
+    assert counts.tolist() == [len(flips)]
+    return raw_table(start, [flips], horizon_s)[0]
 
 
 # ---------------------------------------------------------------- is_available
@@ -102,20 +135,18 @@ def test_is_available_matches_scan_oracle():
 
 
 def test_trace_invariants_enforced():
-    with pytest.raises(ValueError):
-        AvailabilityTrace(True, (), 0.0)
-    with pytest.raises(ValueError):
-        AvailabilityTrace(True, (50.0, 50.0), 100.0)
-    with pytest.raises(ValueError):
-        AvailabilityTrace(True, (200.0,), 100.0)
+    for flips, horizon in (([], 0.0), ([50.0, 50.0], 100.0), ([200.0], 100.0)):
+        with pytest.raises(ValueError) as caught:
+            raw_table([True], [flips], horizon)
+        assert str(caught.value) == loop_error([flips], horizon)
 
 
-# ----------------------------------------------------------------- trace_stats
+# ----------------------------------------------------------------- trace stats
 
 def test_trace_stats_examples():
-    assert trace_stats(AvailabilityTrace(True, (), 3600.0)) == (1.0, 0.0)
-    assert trace_stats(AvailabilityTrace(True, (1800.0,), 3600.0)) == (0.5, 1.0)
-    assert trace_stats(AvailabilityTrace(False, (), 3600.0)) == (0.0, 0.0)
+    assert stats_of(AvailabilityTrace(True, (), 3600.0)) == (1.0, 0.0)
+    assert stats_of(AvailabilityTrace(True, (1800.0,), 3600.0)) == (0.5, 1.0)
+    assert stats_of(AvailabilityTrace(False, (), 3600.0)) == (0.0, 0.0)
 
 
 def test_trace_stats_matches_integration_oracle():
@@ -125,7 +156,7 @@ def test_trace_stats_matches_integration_oracle():
         up = oracles.integrate_available(
             trace.start_available, trace.transitions, trace.horizon_s
         )
-        fraction, rate = trace_stats(trace)
+        fraction, rate = stats_of(trace)
         assert fraction == pytest.approx(up / trace.horizon_s, abs=1e-12)
         assert rate == pytest.approx(
             len(trace.transitions) / (trace.horizon_s / 3600.0)
@@ -142,7 +173,7 @@ def test_trace_stats_one_second_sampling():
         times = tuple(sorted(rng.choice(np.arange(1, 500), size=count, replace=False).astype(float)))
         trace = AvailabilityTrace(bool(rng.integers(2)), times, horizon)
         sampled = np.mean([is_available(trace, float(t)) for t in range(int(horizon))])
-        assert abs(trace_stats(trace)[0] - sampled) <= 1.0 / horizon + 1e-12
+        assert abs(stats_of(trace)[0] - sampled) <= 1.0 / horizon + 1e-12
 
 
 # ----------------------------------------------------------------- rank_traces
@@ -155,32 +186,31 @@ def fraction_trace(fraction, horizon=1000.0, extra_flips=()):
 
 
 def test_rank_traces_by_fraction():
-    traces = [fraction_trace(f) for f in (0.9, 0.1, 0.5)]
-    assert rank_traces(traces) == [1, 2, 0]
+    pool = [fraction_trace(f) for f in (0.9, 0.1, 0.5)]
+    assert rank_traces(table_of(pool)) == [1, 2, 0]
 
 
 def test_rank_traces_rate_tiebreak():
     # equal fraction 0.5; the flappier trace (3 flips -> rate 3x) ranks worse
     slow = AvailabilityTrace(True, (500.0,), 1000.0)
     flappy = AvailabilityTrace(True, (250.0, 500.0, 750.0), 1000.0)
-    assert trace_stats(slow)[0] == trace_stats(flappy)[0]
-    assert rank_traces([slow, flappy]) == [1, 0]
+    assert stats_of(slow)[0] == stats_of(flappy)[0]
+    assert rank_traces(table_of([slow, flappy])) == [1, 0]
 
 
 def test_rank_traces_index_tiebreak_and_permutation():
-    traces = [AvailabilityTrace(True, (500.0,), 1000.0) for _ in range(4)]
-    assert rank_traces(traces) == [0, 1, 2, 3]
+    assert rank_traces(raw_table([True] * 4, [[500.0]] * 4, 1000.0)) == [0, 1, 2, 3]
     rng = np.random.default_rng(5)
-    pool = [random_trace(rng) for _ in range(30)]
+    pool = table_of([random_trace(rng) for _ in range(30)])
     order = rank_traces(pool)
     assert sorted(order) == list(range(30))
     assert order == rank_traces(pool)  # deterministic
 
 
 def test_rank_traces_single_and_empty():
-    assert rank_traces([AvailabilityTrace(True, (), 10.0)]) == [0]
+    assert rank_traces(raw_table([True], [[]], 10.0)) == [0]
     with pytest.raises(ValueError):
-        rank_traces([])
+        rank_traces(raw_table([], [], 10.0))
 
 
 # -------------------------------------------------------------- build_scenario
@@ -192,7 +222,7 @@ def ranked_pool(n, horizon=1000.0):
 
 def block_of(trace, pool_size):
     """Which third of the ranked pool a fraction_trace came from."""
-    fraction = trace_stats(trace)[0]
+    fraction = stats_of(trace)[0]
     index = round(fraction * pool_size - 0.5)
     b = pool_size // 3
     mid = (pool_size - b) // 2
@@ -206,7 +236,7 @@ def block_of(trace, pool_size):
 
 def scenario_block_counts(kind, num_clients, pool_size=300, seed=0, mix=(0.6, 0.2, 0.2)):
     pool = ranked_pool(pool_size)
-    assert rank_traces(pool) == list(range(pool_size))
+    assert rank_traces(table_of(pool)) == list(range(pool_size))
     assigned = build_scenario(pool, kind, num_clients, mix, seed)
     assert len(assigned) == num_clients
     counts = [0, 0, 0]
@@ -237,7 +267,7 @@ def test_build_scenario_odd_count_remainder_to_later_block():
 def test_build_scenario_draws_without_replacement():
     pool = ranked_pool(300)
     assigned = build_scenario(pool, "low", 90, (0.6, 0.2, 0.2), 3)
-    fractions = [trace_stats(t)[0] for t in assigned]
+    fractions = [stats_of(t)[0] for t in assigned]
     assert len(set(fractions)) == len(fractions)
 
 
@@ -254,24 +284,24 @@ def test_build_scenario_insufficient_traces():
         build_scenario(pool, "low", 10, (0.6, 0.2, 0.2), 0)
 
 
-# -------------------------------------------------------------- generate_trace
+# ------------------------------------------------------------ one-trace draws
 
 def test_generate_trace_near_permanent_uptime():
     params = TraceClassParams(mean_up_s=3600.0 * 1e6, mean_down_s=600.0, start_available_prob=1.0)
     for seed in range(100):
-        trace = generate_trace(params, 3600.0, seed)
-        assert trace_stats(trace)[0] > 0.99
+        trace = generate_one(params, 3600.0, seed)
+        assert stats_of(trace)[0] > 0.99
 
 
 def test_generate_trace_deterministic():
     params = TraceClassParams(300.0, 300.0, 0.5)
-    assert generate_trace(params, 10_000.0, 9) == generate_trace(params, 10_000.0, 9)
+    assert generate_one(params, 10_000.0, 9) == generate_one(params, 10_000.0, 9)
 
 
 def test_generate_trace_symmetric_balance():
     params = TraceClassParams(600.0, 600.0, 0.5)
     fractions = [
-        trace_stats(generate_trace(params, 36_000.0, seed))[0]
+        stats_of(generate_one(params, 36_000.0, seed))[0]
         for seed in range(1000)
     ]
     assert 0.45 <= np.mean(fractions) <= 0.55
@@ -280,7 +310,7 @@ def test_generate_trace_symmetric_balance():
 def test_generate_trace_validation():
     for horizon in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            generate_trace(TraceClassParams(300.0, 300.0, 0.5), horizon, 1)
+            generate_one(TraceClassParams(300.0, 300.0, 0.5), horizon, 1)
     with pytest.raises(ConfigError):
         TraceClassParams(0.0, 300.0, 0.5)
     with pytest.raises(ConfigError):
@@ -292,7 +322,7 @@ def test_generate_trace_validation():
 
 
 def assert_matches_loop_oracle(params, horizon, seed):
-    trace = generate_trace(params, horizon, seed)
+    trace = generate_one(params, horizon, seed)
     expected = oracles.loop_generate_trace(params, horizon, seed)
     assert (trace.start_available, trace.transitions) == expected
     assert all(type(t) is float for t in trace.transitions)
@@ -339,12 +369,10 @@ def test_generate_trace_matches_loop_oracle_across_blocks():
 
 
 def test_generate_trace_takes_any_default_rng_seed():
-    # A Generator or BitGenerator is read, not advanced; other kinds than PCG64 work.
+    # _generate_rows draws from the states of other bit generators than PCG64 too.
     params = TraceClassParams(30.0, 20.0, 0.5)
     for make in (np.random.default_rng, np.random.PCG64, np.random.MT19937, np.random.Philox):
-        seed = make(5)
-        trace = generate_trace(params, 3_000.0, seed)
-        assert np.random.default_rng(seed).random() == np.random.default_rng(make(5)).random()
+        trace = generate_one(params, 3_000.0, make(5))
         expected = oracles.loop_generate_trace(params, 3_000.0, make(5))
         assert (trace.start_available, trace.transitions) == expected
 
@@ -375,7 +403,7 @@ def test_generate_pool_class_counts():
     assert len(pool) == 10
     assert sum(trace.start_available for trace in pool) == 8
     assert all(trace.transitions == () for trace in pool)
-    assert pool == generate_pool(classes, 10, 1000.0, 4)
+    assert_same_table(pool, generate_pool(classes, 10, 1000.0, 4))
     with pytest.raises(ConfigError):
         generate_pool([], 10, 1000.0, 4)
 
@@ -394,13 +422,6 @@ def edge_traces(rng, count, horizon=1000.0):
             flips[-1] = horizon
         pool.append(AvailabilityTrace(trace.start_available, tuple(flips), horizon))
     return pool
-
-
-def raw_table(start, flip_lists, horizon):
-    """A TraceTable from plain lists, so that it is the table's own pass that checks them."""
-    offsets = np.concatenate(([0], np.cumsum([len(f) for f in flip_lists]))).astype(np.int64)
-    flips = np.array([t for f in flip_lists for t in f], dtype=np.float64)
-    return TraceTable(np.array(start, dtype=bool), offsets, flips, horizon)
 
 
 def loop_error(flip_lists, horizon):
@@ -438,14 +459,14 @@ def test_table_check_raises_exactly_when_the_loop_does(kind):
         start = [tr.start_available for tr in pool]
         flip_lists = [list(tr.transitions) for tr in pool]
         assert loop_error(flip_lists, 1000.0) is None
-        assert raw_table(start, flip_lists, 1000.0) == pool
+        assert list(raw_table(start, flip_lists, 1000.0)) == pool
         candidates = [i for i, f in enumerate(flip_lists) if f or kind != "equal pair"]
         if not candidates:
             continue
         for i in rng.choice(candidates, size=min(len(candidates), int(rng.integers(1, 4))), replace=False):
             flip_lists[i] = mutate(flip_lists[i], kind, rng, 1000.0)
             with pytest.raises(ValueError) as one:
-                AvailabilityTrace(start[i], tuple(flip_lists[i]), 1000.0)
+                raw_table([start[i]], [flip_lists[i]], 1000.0)
             assert str(one.value) == loop_error([flip_lists[i]], 1000.0)
         expected = loop_error(flip_lists, 1000.0)
         assert expected is not None
@@ -468,7 +489,7 @@ def assert_stats_match_loop(table):
     assert fraction.tobytes() == np.array([e[0] for e in expected]).tobytes()
     assert rate.tobytes() == np.array([e[1] for e in expected]).tobytes()
     for tr, pair in zip(table, expected):
-        assert trace_stats(tr) == pair
+        assert stats_of(tr) == pair
 
 
 @pytest.mark.parametrize("block_elements", [16, traces._BLOCK_ELEMENTS])
@@ -483,10 +504,10 @@ def test_table_stats_equal_the_loop_bit_for_bit(monkeypatch, block_elements):
         AvailabilityTrace(True, (0.1, 0.2, 1000.0), 1000.0),
         AvailabilityTrace(False, (1000.0,), 1000.0),
     ]
-    assert_stats_match_loop(TraceTable.from_traces(cases))
+    assert_stats_match_loop(table_of(cases))
     rng = np.random.default_rng(8)
     for _ in range(60):
-        assert_stats_match_loop(TraceTable.from_traces(edge_traces(rng, int(rng.integers(1, 40)))))
+        assert_stats_match_loop(table_of(edge_traces(rng, int(rng.integers(1, 40)))))
 
 
 # Generated pools: a class of several-block traces (about 10 000 flips, over
@@ -558,45 +579,42 @@ def test_rank_order_equals_sorted_with_exact_ties():
     rng = np.random.default_rng(12)
     half = [AvailabilityTrace(True, tuple(np.linspace(0.0, 1000.0, n + 1)[1:-1]), 1000.0)
             for n in (2, 4, 8)]
-    assert len({trace_stats(tr)[0] for tr in half}) == 1
+    assert len({stats_of(tr)[0] for tr in half}) == 1
     for _ in range(40):
         base = edge_traces(rng, 15)
         pool = base + [base[i] for i in rng.integers(0, 15, size=8)] + half
         pool = [pool[i] for i in rng.permutation(len(pool))]
         stats = [oracles.loop_trace_stats(tr.start_available, tr.transitions, 1000.0) for tr in pool]
         expected = sorted(range(len(pool)), key=lambda i: (stats[i][0], -stats[i][1], i))
-        assert rank_traces(pool) == expected
-        assert rank_traces(TraceTable.from_traces(pool)) == expected
+        assert rank_traces(table_of(pool)) == expected
 
 
 def test_trace_table_items_and_arrays():
     rng = np.random.default_rng(3)
     pool = edge_traces(rng, 25)
-    table = TraceTable.from_traces(pool)
-    assert list(table) == pool and table == pool and pool == table
+    table = table_of(pool)
+    assert len(table) == 25 and list(table) == pool
     assert table[-1] == pool[-1] and table[np.int64(3)] == pool[3]
-    with pytest.raises(IndexError):
-        table[25]
-    with pytest.raises(ValueError):
-        table.flips[0] = 1.0   # checked once, then read-only
-    with pytest.raises(ValueError, match="share a horizon"):
-        TraceTable.from_traces([AvailabilityTrace(True, (), 10.0), AvailabilityTrace(True, (), 20.0)])
-    with pytest.raises(ValueError):
-        TraceTable.from_traces([])
+    assert all(type(t) is float for tr in table for t in tr.transitions)
+    for i in (25, -26):
+        with pytest.raises(IndexError):
+            table[i]
+    for array in (table.start, table.offsets, table.flips):
+        with pytest.raises(ValueError):
+            array[0] = array[-1]   # checked once, then read-only
 
 
 # ------------------------------------------------------------------ trace files
 
 def test_parse_trace_file_example():
-    text = "!horizon 1000\nc1 1 100 250\n"
-    traces = parse_trace_file(text)
-    assert traces == [AvailabilityTrace(True, (100.0, 250.0), 1000.0)]
+    table = parse_trace_file("!horizon 1000\nc1 1 100 250\n")
+    assert isinstance(table, TraceTable)
+    assert list(table) == [AvailabilityTrace(True, (100.0, 250.0), 1000.0)]
 
 
 def test_parse_trace_file_comments_and_blanks():
     text = "# a comment\n\n!horizon 500\n# another\nc0 0\nc1 1 10\n"
-    traces = parse_trace_file(text)
-    assert traces == [
+    assert list(parse_trace_file(text)) == [
         AvailabilityTrace(False, (), 500.0),
         AvailabilityTrace(True, (10.0,), 500.0),
     ]
@@ -604,8 +622,88 @@ def test_parse_trace_file_comments_and_blanks():
 
 def test_serialize_parse_roundtrip():
     rng = np.random.default_rng(55)
-    pool = [random_trace(rng, horizon=2000.0) for _ in range(50)]
-    assert parse_trace_file(serialize_trace_file(pool)) == pool
+    pool = table_of([random_trace(rng, horizon=2000.0) for _ in range(50)])
+    assert_same_table(parse_trace_file(serialize_trace_file(pool)), pool)
+
+
+def test_serialize_parse_roundtrip_keeps_every_array():
+    # A generated pool, then traces with a flip at 0.0, one at the horizon and
+    # none at all: the file holds each float64 exactly.
+    generated = generate_pool(list(DEFAULT_TRACE_CLASSES), 60, 36_000.0, 3)
+    edges = [[0.0], [36_000.0], [0.0, 1.5, 36_000.0], []]
+    pool = raw_table(
+        [*generated.start.tolist(), True, False, True, False],
+        [*(tr.transitions for tr in generated), *edges],
+        36_000.0,
+    )
+    text = serialize_trace_file(pool)
+    assert_same_table(parse_trace_file(text), pool)
+    assert serialize_trace_file(parse_trace_file(text)) == text
+
+
+def test_parsing_checks_the_flips_once_per_file(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return check(*args)
+
+    check = traces._check_flips
+    monkeypatch.setattr(traces, "_check_flips", counted)
+    table = parse_trace_file("!horizon 100\nc0 1 5 6\nc1 0\nc2 0 1 2 3\n")
+    assert calls == [5] and len(table) == 3
+    assert [tr.transitions for tr in table] == [(5.0, 6.0), (), (1.0, 2.0, 3.0)]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # comments and blank lines before the faulty trace count as lines
+        (
+            "# pool\n\n!horizon 100\n\n# first\nc0 1 5\n\nc1 0 7 7\n",
+            "line 8: transitions must be strictly increasing (at 7.0)",
+        ),
+        # the fault is on the last trace
+        (
+            "!horizon 100\nc0 1 5\nc1 0 1\nc2 1 2 101\n",
+            "line 4: transition 101.0 outside [0, 100.0]",
+        ),
+        # traces without flips before and after the faulty one
+        (
+            "!horizon 100\nc0 1\nc1 0\nc2 1 -1\nc3 0\n",
+            "line 4: transition -1.0 outside [0, 100.0]",
+        ),
+        # a trace's first flip is not compared with the trace before it
+        (
+            "!horizon 100\nc0 1 50\nc1 0 10 nan\n",
+            "line 3: transition nan outside [0, 100.0]",
+        ),
+        # the first faulty flip in file order wins
+        (
+            "!horizon 100\nc0 1 5\nc1 0 9 8\nc2 1 200\n",
+            "line 3: transitions must be strictly increasing (at 8.0)",
+        ),
+    ],
+    ids=["comments before", "last trace", "flipless traces", "first flip of a trace", "file order"],
+)
+def test_parse_trace_file_reports_the_line_of_the_first_faulty_flip(text, message):
+    with pytest.raises(ParseError) as caught:
+        parse_trace_file(text)
+    assert str(caught.value) == message
+
+
+def test_parse_trace_file_reports_a_syntax_fault_before_a_flip_fault():
+    # The lines are scanned first and the flips checked after, so a later
+    # line's syntax fault wins over an earlier line's flip fault.
+    text = "!horizon 100\nc0 1 50 40\nc1 2\n"
+    with pytest.raises(ParseError, match="^line 3: expected '<client_id> <0|1>"):
+        parse_trace_file(text)
+    with pytest.raises(ParseError, match="^line 2: transitions must be strictly increasing"):
+        parse_trace_file(text.replace("c1 2", "c1 1"))
+    with pytest.raises(ParseError, match="^line 3: non-numeric timestamp"):
+        parse_trace_file(text.replace("c1 2", "c1 1 x"))
+    with pytest.raises(ParseError, match="^line 3: duplicate client id 'c0'"):
+        parse_trace_file(text.replace("c1 2", "c0 1"))
 
 
 @pytest.mark.parametrize(
@@ -632,8 +730,5 @@ def test_parse_trace_file_errors(text, fragment):
 
 
 def test_serialize_trace_file_validation():
-    with pytest.raises(ValueError):
-        serialize_trace_file([])
-    mixed = [AvailabilityTrace(True, (), 10.0), AvailabilityTrace(True, (), 20.0)]
-    with pytest.raises(ValueError):
-        serialize_trace_file(mixed)
+    with pytest.raises(ValueError, match="empty"):
+        serialize_trace_file(raw_table([], [], 10.0))
