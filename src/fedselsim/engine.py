@@ -147,15 +147,15 @@ def _read_input(path: str, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
-def _world_digest(client_ids, caps, pool: TraceTable, picks: list[int], order, offsets) -> str:
-    """Client c is hashed with caps[c], trace picks[c] of the pool (its flips are a
-    table slice) and its shard order[offsets[c]:offsets[c + 1]]."""
-    head = np.column_stack((caps, pool.start[picks], np.full(len(picks), pool.horizon_s)))
+def _world_digest(client_ids, caps, traces: TraceTable, order, offsets) -> str:
+    """Client c is hashed with caps[c], row c of traces (its flips are a table
+    slice) and its shard order[offsets[c]:offsets[c + 1]]."""
+    head = np.column_stack((caps, traces.start, np.full(len(traces), traces.horizon_s)))
     h = hashlib.sha256()
-    for c, i in enumerate(picks):
+    for c, (lo, hi) in enumerate(zip(traces.offsets, traces.offsets[1:])):
         h.update(client_ids[c].encode())
         h.update(head[c].tobytes())
-        h.update(pool.flips[pool.offsets[i] : pool.offsets[i + 1]].tobytes())
+        h.update(traces.flips[lo:hi].tobytes())
         h.update(order[offsets[c] : offsets[c + 1]].tobytes())
     return h.hexdigest()
 
@@ -186,12 +186,14 @@ def build_world(cfg: ExperimentConfig) -> World:
     else:
         pool = synthetic_pool(cfg)
 
-    # build_scenario draws from the pool's indices in rank order, so only the
-    # assigned traces become AvailabilityTrace objects.
-    picks = build_scenario(
-        rank_traces(pool), cfg.scenario.kind, num_clients, cfg.scenario.mix, seed_assign
+    # build_scenario draws from the pool's indices in rank order; only the
+    # assigned traces are cut from the pool, which goes before the data is built.
+    traces = pool.take(
+        build_scenario(
+            rank_traces(pool), cfg.scenario.kind, num_clients, cfg.scenario.mix, seed_assign
+        )
     )
-    assigned = [pool[i] for i in picks]
+    del pool
 
     if cfg.population.capability_source == "file":
         path = cfg.population.capability_file
@@ -212,6 +214,9 @@ def build_world(cfg: ExperimentConfig) -> World:
     order, offsets = learning.dirichlet_partition(
         dataset, num_clients, task.alpha, cfg.seeds.partition_seed
     )
+    features, labels = dataset.features[order], dataset.labels[order]
+    test = (dataset.features[dataset.test_idx], dataset.labels[dataset.test_idx])
+    del dataset
     sizes = np.diff(offsets)
     empty = int(np.count_nonzero(sizes == 0))
     if empty:
@@ -230,16 +235,15 @@ def build_world(cfg: ExperimentConfig) -> World:
                 f"{client_ids[slowest]}) while strict_availability_failures is on"
             )
 
-    features, labels = dataset.features[order], dataset.labels[order]
     bounds = offsets.tolist()
     return World(
         client_ids=client_ids,
-        traces=assigned,
+        traces=list(traces),
         rows=[(features[a:b], labels[a:b]) for a, b in zip(bounds, bounds[1:])],
-        test=(dataset.features[dataset.test_idx], dataset.labels[dataset.test_idx]),
+        test=test,
         round_times=round_times,
-        horizon_s=pool.horizon_s,
-        digest=_world_digest(client_ids, caps, pool, picks, order, bounds),
+        horizon_s=traces.horizon_s,
+        digest=_world_digest(client_ids, caps, traces, order, bounds),
     )
 
 

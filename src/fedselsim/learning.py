@@ -85,11 +85,14 @@ def make_dataset(
     splits = _class_splits(num_samples, classes_k)
     counts = [n_train + n_test for n_train, n_test in splits]
     labels = np.repeat(np.arange(classes_k, dtype=np.int64), counts)
-    features = means[labels] + rng.normal(0.0, 1.0, size=(num_samples, features_d))
+    # The noise, with each class's mean added in place to its rows: the bytes
+    # of means[labels] + noise, without a second (num_samples, features_d) block.
+    features = rng.normal(0.0, 1.0, size=(num_samples, features_d))
 
     train_parts, test_parts = [], []
     start = 0
-    for n_train, n_test in splits:
+    for mean, (n_train, n_test) in zip(means, splits):
+        features[start : start + n_train + n_test] += mean
         train_parts.append(np.arange(start, start + n_train))
         test_parts.append(np.arange(start + n_train, start + n_train + n_test))
         start += n_train + n_test

@@ -4,15 +4,16 @@ A pool of traces is one `TraceTable`: a start state per trace, int64 offsets and
 every flip in one float64 array. `generate_pool` draws it class by class and
 `parse_trace_file` reads it from a trace file; `serialize_trace_file` writes it
 back. `rank_traces` orders it by each trace's (available fraction, flips per
-hour), and `build_scenario` picks the traces that become the clients' own
-`AvailabilityTrace` rows. The synthesis knobs (TraceClassParams) are a config
-section, defined in `config`.
+hour), `build_scenario` picks the clients' traces and `TraceTable.take` cuts
+them into a table of their own. The synthesis knobs (TraceClassParams) are a
+config section, defined in `config`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -55,17 +56,17 @@ def _check_flips(flips: np.ndarray, horizon_s: float, offsets: np.ndarray) -> No
     flip-by-flip check would raise it (`loop_check_trace` in `tests/oracles.py`).
     """
     _check_horizon(horizon_s)
-    in_range = (flips >= 0.0) & (flips <= horizon_s)   # False for NaN
+    ok = flips >= 0.0   # False for NaN
+    ok &= flips <= horizon_s
     rising = flips[1:] > flips[:-1]
     firsts = offsets[1:-1]
     rising[firsts[(firsts > 0) & (firsts < len(flips))] - 1] = True
-    ok = in_range.copy()
     ok[1:] &= rising
     if ok.all():
         return
     i = int(np.argmin(ok))
     t = flips[i].item()
-    if not in_range[i]:
+    if not 0.0 <= t <= horizon_s:
         raise _FlipError(f"transition {t} outside [0, {horizon_s}]", i)
     raise _FlipError(f"transitions must be strictly increasing (at {t})", i)
 
@@ -112,6 +113,16 @@ class TraceTable:
         flips = self.flips[self.offsets[i] : self.offsets[i + 1]]
         return AvailabilityTrace(bool(self.start[i]), tuple(flips.tolist()), self.horizon_s)
 
+    def take(self, indices) -> TraceTable:
+        """A new table of the traces at `indices`, in that order (repeats allowed)."""
+        # Views of the rows, joined once: no index array as long as the flips.
+        indices = np.asarray(indices, np.int64)
+        lo, hi = self.offsets[:-1][indices].tolist(), self.offsets[1:][indices].tolist()
+        rows = [self.flips[a:b] for a, b in zip(lo, hi)]
+        offsets = np.cumsum([0, *map(len, rows)], dtype=np.int64)
+        flips = np.concatenate([np.empty(0), *rows])
+        return TraceTable(self.start[indices], offsets, flips, self.horizon_s)
+
 
 def is_available(trace: AvailabilityTrace, t: float) -> bool:
     """State at time t: start state XOR parity of flips with timestamp <= t."""
@@ -138,9 +149,8 @@ def _table_stats(table: TraceTable) -> tuple[np.ndarray, np.ndarray]:
     is, flipped j times, so `cumsum` along the even segments gives the up time
     of a trace that starts up, and along the odd ones that of the rest.
     """
-    horizon = table.horizon_s
+    horizon, flips = table.horizon_s, table.flips
     counts = np.diff(table.offsets)
-    edges_of = np.append(table.flips, horizon)   # past its last flip, a row reads this
     up = np.empty(len(counts))
     widest_first = np.argsort(-counts, kind="stable")
     lo = 0
@@ -148,10 +158,10 @@ def _table_stats(table: TraceTable) -> tuple[np.ndarray, np.ndarray]:
         width = int(counts[widest_first[lo]]) + 2   # at least one even and one odd segment
         rows = widest_first[lo : lo + max(1, _BLOCK_ELEMENTS // width)]
         cols = np.arange(width)
-        at = np.where(
-            cols < counts[rows, None], table.offsets[rows, None] + cols, len(table.flips)
-        )
-        segments = np.diff(edges_of[at], axis=1, prepend=0.0)
+        inside = cols < counts[rows, None]   # past its last flip, a row reads the horizon
+        at = np.where(inside, table.offsets[rows, None] + cols, 0)
+        edges = np.where(inside, flips[at] if len(flips) else 0.0, horizon)
+        segments = np.diff(edges, axis=1, prepend=0.0)
         up[rows] = np.where(
             table.start[rows],
             segments[:, 0::2].cumsum(axis=1)[:, -1],
@@ -343,17 +353,23 @@ def generate_pool(
     if not isinstance(rng_seed, np.random.SeedSequence):
         rng_seed = np.random.SeedSequence(rng_seed)
     child = rng_seed.n_children_spawned
-    parts = []
+    starts, sizes, flips = [], [], np.empty(0)
     for params, count in zip(classes, counts):
         step = max(1, _BLOCK_ELEMENTS // _block_width(params, horizon_s))
         for i in range(0, count, step):
             n = min(step, count - i)
-            parts.append(_generate_rows(params, horizon_s, spawned_states(rng_seed, child, n)))
+            states = spawned_states(rng_seed, child, n)
             child += n
-    starts, counts, flips = zip(*parts)
-    offsets = np.zeros(sum(map(len, counts)) + 1, np.int64)
-    np.cumsum(np.concatenate(counts), out=offsets[1:])
-    return TraceTable(np.concatenate(starts), offsets, np.concatenate(flips), horizon_s)
+            start, size, part = _generate_rows(params, horizon_s, states)
+            # Each piece's flips go straight into the one buffer, grown in place.
+            filled = len(flips)
+            flips.resize(filled + len(part), refcheck=False)
+            flips[filled:] = part
+            starts.append(start)
+            sizes.append(size)
+    offsets = np.zeros(pool_size + 1, np.int64)
+    np.cumsum(np.concatenate(sizes), out=offsets[1:])
+    return TraceTable(np.concatenate(starts), offsets, flips, horizon_s)
 
 
 def parse_trace_file(text: str) -> TraceTable:
@@ -366,7 +382,7 @@ def parse_trace_file(text: str) -> TraceTable:
     fault, a syntax fault is reported before a flip fault on an earlier line.
     """
     horizon: float | None = None
-    starts, counts, flips, linenos = [], [], [], []
+    starts, counts, flips, linenos = [], [], array("d"), []
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -405,7 +421,7 @@ def parse_trace_file(text: str) -> TraceTable:
         raise ParseError("trace file has no !horizon header")
     offsets = np.cumsum([0, *counts], dtype=np.int64)
     try:
-        return TraceTable(np.array(starts, bool), offsets, np.array(flips, np.float64), horizon)
+        return TraceTable(np.array(starts, bool), offsets, np.frombuffer(flips), horizon)
     except _FlipError as exc:
         trace = int(np.searchsorted(offsets, exc.index, side="right")) - 1
         raise ParseError(f"line {linenos[trace]}: {exc}") from None
@@ -415,8 +431,8 @@ def serialize_trace_file(table: TraceTable) -> str:
     """One `!horizon` header, then `<client_id> <0|1> <t1> <t2> ...` per trace."""
     if not len(table):
         raise ValueError("cannot serialize an empty trace table")
-    flips, bounds = table.flips.tolist(), table.offsets.tolist()
+    flips, bounds = table.flips, table.offsets.tolist()
     lines = [f"!horizon {table.horizon_s!r}"]
     for i, (start, lo, hi) in enumerate(zip(table.start.tolist(), bounds, bounds[1:])):
-        lines.append(" ".join([f"c{i}", "1" if start else "0", *map(repr, flips[lo:hi])]))
+        lines.append(" ".join([f"c{i}", "1" if start else "0", *map(repr, flips[lo:hi].tolist())]))
     return "\n".join(lines) + "\n"

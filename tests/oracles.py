@@ -531,6 +531,22 @@ def list_dirichlet_partition(dataset, num_clients, alpha, seed):
             shards[c].append(idx_k[offsets[c] : offsets[c + 1]])
     return [np.sort(np.concatenate(parts)) for parts in shards]
 
+# The Gaussian-blob features as `make_dataset` built them before it added each
+# class's mean to its rows of the noise in place: one gather of the means, then
+# the noise added, copied unchanged apart from its name, a private copy of the
+# per-class counts of `_class_splits`, and returning (features, labels) only.
+# The package's features and labels must equal these, byte for byte.
+
+
+def gathered_blobs(num_samples, features_d, classes_k, class_sep, seed):
+    rng = np.random.default_rng(seed)
+    means = rng.normal(0.0, 1.0, size=(classes_k, features_d)) * class_sep
+    base, rem = divmod(num_samples, classes_k)
+    counts = [base + (1 if k < rem else 0) for k in range(classes_k)]
+    labels = np.repeat(np.arange(classes_k, dtype=np.int64), counts)
+    features = means[labels] + rng.normal(0.0, 1.0, size=(num_samples, features_d))
+    return features, labels
+
 # The config loader that the field-driven one replaced: seven section builders,
 # copied unchanged apart from the name of `parent_config_from_dict` and from
 # building the five self-checking dataclasses through `_construct`, which runs

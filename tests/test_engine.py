@@ -3,6 +3,7 @@
 import json
 import os
 import pickle
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,41 @@ def test_world_rows_and_test_are_the_gathered_splits():
                 assert a.flags.c_contiguous
                 assert (a.dtype, a.shape) == (b.dtype, b.shape)
                 assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("source", ["synthetic", "file"])
+def test_build_world_lets_each_large_array_go_once_read(monkeypatch, tmp_path, source):
+    # The pool is gone before the data is built, and the Dataset before the digest.
+    cfg = small_cfg(num_clients=40)
+    if source == "file":
+        path = tmp_path / "traces.txt"
+        path.write_text(serialize_trace_file(engine.synthetic_pool(cfg)))
+        cfg.scenario.source, cfg.scenario.trace_file = "file", str(path)
+    read_pool = "generate_pool" if source == "synthetic" else "parse_trace_file"
+    real = {name: getattr(engine, name) for name in (read_pool, "_world_digest")}
+    real_make_dataset = learning.make_dataset
+    pool_flips, dataset_features, alive = [], [], {}
+
+    def traced_pool(*args):
+        pool = real[read_pool](*args)
+        pool_flips.append(weakref.ref(pool.flips))
+        return pool
+
+    def traced_make_dataset(*args):
+        alive["pool at make_dataset"] = [ref() is not None for ref in pool_flips]
+        dataset = real_make_dataset(*args)
+        dataset_features.append(weakref.ref(dataset.features))
+        return dataset
+
+    def traced_digest(*args):
+        alive["dataset at digest"] = [ref() is not None for ref in dataset_features]
+        return real["_world_digest"](*args)
+
+    monkeypatch.setattr(engine, read_pool, traced_pool)
+    monkeypatch.setattr(learning, "make_dataset", traced_make_dataset)
+    monkeypatch.setattr(engine, "_world_digest", traced_digest)
+    build_world(cfg)
+    assert alive == {"pool at make_dataset": [False], "dataset at digest": [False]}
 
 
 def test_strict_timeout_cross_check():

@@ -36,6 +36,19 @@ def test_make_dataset_deterministic():
     assert not np.array_equal(a.features, c.features)
 
 
+@pytest.mark.parametrize(
+    "num_samples, features_d, classes_k, class_sep",
+    [(103, 6, 4, 1.0), (61, 3, 7, 2.5), (10, 1, 2, 0.3), (997, 64, 10, 1.0)],
+)
+def test_make_dataset_matches_the_gathered_means_oracle(num_samples, features_d, classes_k, class_sep):
+    # Class counts that differ by one, so each class's rows start off any stride.
+    for seed in (0, 1, 2**40, 123456789):
+        ds = learning.make_dataset(num_samples, features_d, classes_k, class_sep, seed)
+        features, labels = oracles.gathered_blobs(num_samples, features_d, classes_k, class_sep, seed)
+        assert ds.features.dtype == features.dtype and ds.features.tobytes() == features.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+
+
 def test_make_dataset_validation():
     with pytest.raises(ValueError):
         learning.make_dataset(100, 4, 1, 1.0, 0)

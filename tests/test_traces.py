@@ -1,6 +1,7 @@
 """Availability traces: queries, stats, ranking, scenarios, generation, files."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -573,6 +574,34 @@ def test_generated_pool_continues_after_the_children_already_spawned():
         )
 
 
+# About 16 MiB of flips (600 traces of about 3 600 flips each), so that the
+# blocks of about 512 KiB that the table code works through are small beside it.
+MEMORY_POOL = ([TraceClassParams(10.0, 10.0, 0.5)], 600, 36_000.0, 3)
+
+
+def traced_peak(call):
+    """call()'s result and the most memory it held at once, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_pool_holds_the_flips_about_once():
+    pool, peak = traced_peak(lambda: generate_pool(*MEMORY_POOL))
+    assert pool.flips.nbytes > 1 << 23
+    assert peak <= 1.4 * pool.flips.nbytes
+
+
+def test_rank_traces_does_not_copy_the_flips():
+    pool = generate_pool(*MEMORY_POOL)
+    ranked, peak = traced_peak(lambda: rank_traces(pool))
+    assert sorted(ranked) == list(range(len(pool)))
+    assert peak < pool.flips.nbytes / 4
+
+
 def test_rank_order_equals_sorted_with_exact_ties():
     # Copies tie exactly on (fraction, rate), and the half-up traces tie on
     # fraction alone; both ways of ranking give sorted()'s order.
@@ -602,6 +631,31 @@ def test_trace_table_items_and_arrays():
     for array in (table.start, table.offsets, table.flips):
         with pytest.raises(ValueError):
             array[0] = array[-1]   # checked once, then read-only
+
+
+def test_take_equals_the_rows_it_names():
+    # Repeated indices, a negative one, rows without flips and an empty selection.
+    rng = np.random.default_rng(5)
+    pool = edge_traces(rng, 30) + [AvailabilityTrace(True, (), 1000.0)] * 2
+    table = table_of(pool)
+    for indices in ([], [31], [3, 3, 0, 31, 30, 3], [-1, 7], rng.integers(0, 32, size=50).tolist()):
+        rows = [pool[i] for i in indices]
+        cut = table.take(indices)
+        assert_same_table(
+            cut, raw_table([tr.start_available for tr in rows], [tr.transitions for tr in rows], 1000.0)
+        )
+        assert [cut[c] for c in range(len(cut))] == rows
+    assert len(raw_table([True], [[]], 10.0).take([0, 0]).flips) == 0
+    for bad in ([32], [-33]):
+        with pytest.raises(IndexError):
+            table.take(bad)
+
+
+def test_take_checks_the_table_it_makes(monkeypatch):
+    calls = []
+    monkeypatch.setattr(traces, "_check_flips", lambda *args: calls.append(args))
+    raw_table([True, False], [[1.0], [2.0, 3.0]], 10.0).take([1, 0])
+    assert len(calls) == 2 and calls[1][0].tolist() == [2.0, 3.0, 1.0]
 
 
 # ------------------------------------------------------------------ trace files
