@@ -151,7 +151,8 @@ def cmd_gen_traces(args) -> int:
     if out.exists() and out.is_dir():
         out = out / "traces.txt"
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(serialize_trace_file(pool))
+    with out.open("w") as fh:
+        fh.writelines(serialize_trace_file(pool))
     print(f"wrote {len(pool)} traces to {out}")
     return 0
 

@@ -8,7 +8,6 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
-from pathlib import Path
 
 import numpy as np
 
@@ -65,8 +64,9 @@ class RoundOutcome:
 class World:
     """Everything the round loop reads, deterministically built from config.
 
-    rows[c] holds client c's shard as C-contiguous (features, labels) views into
-    one block gathered once, in client order; test holds the test split's pair.
+    rows[c] holds client c's shard and test the test split, each as C-contiguous
+    (features, labels) views into one block: the train rows in client order,
+    then the test rows.
     """
 
     client_ids: list[str]        # client c's entry in every per-client list
@@ -140,9 +140,11 @@ def round_log_rows(report: ExperimentReport) -> list[list[str]]:
     return rows
 
 
-def _read_input(path: str, what: str) -> str:
+def _parse_input(path: str, what: str, parse):
+    """parse(the open text file at path); a file that cannot be read is a ConfigError."""
     try:
-        return Path(path).read_text()
+        with open(path) as fh:
+            return parse(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
@@ -174,7 +176,7 @@ def build_world(cfg: ExperimentConfig) -> World:
 
     if cfg.scenario.source == "file":
         path = cfg.scenario.trace_file
-        pool = parse_trace_file(_read_input(path, "trace file"))
+        pool = _parse_input(path, "trace file", parse_trace_file)
         if len(pool) == 0:
             raise ConfigError(f"trace file {path} holds no traces")
         # config_from_dict's check of a synthetic horizon, which it cannot make for a file.
@@ -197,7 +199,9 @@ def build_world(cfg: ExperimentConfig) -> World:
 
     if cfg.population.capability_source == "file":
         path = cfg.population.capability_file
-        client_ids, caps = parse_capability_file(_read_input(path, "capability file"))
+        client_ids, caps = _parse_input(
+            path, "capability file", lambda fh: parse_capability_file(fh.read())
+        )
         if len(client_ids) < num_clients:
             raise ConfigError(
                 f"capability file {path} holds "
@@ -208,15 +212,18 @@ def build_world(cfg: ExperimentConfig) -> World:
         client_ids, caps = generate_profiles(num_clients, cfg.population.synthetic, seed_caps)
 
     task = cfg.task
-    dataset = learning.make_dataset(
-        task.num_samples, task.features_d, task.classes_k, task.class_sep, task.seed
-    )
+    split = learning.split_samples(task.num_samples, task.classes_k)
     order, offsets = learning.dirichlet_partition(
-        dataset, num_clients, task.alpha, cfg.seeds.partition_seed
+        split, num_clients, task.alpha, cfg.seeds.partition_seed
     )
-    features, labels = dataset.features[order], dataset.labels[order]
-    test = (dataset.features[dataset.test_idx], dataset.labels[dataset.test_idx])
-    del dataset
+    # The features are drawn straight into their rows: the train rows in
+    # client order, then the test split.
+    rows = np.concatenate((order, split.test_idx))
+    features = learning.draw_features(
+        task.num_samples, task.features_d, task.classes_k, task.class_sep, task.seed, rows
+    )
+    labels = split.labels[rows]
+    del split, rows
     sizes = np.diff(offsets)
     empty = int(np.count_nonzero(sizes == 0))
     if empty:
@@ -240,7 +247,7 @@ def build_world(cfg: ExperimentConfig) -> World:
         client_ids=client_ids,
         traces=list(traces),
         rows=[(features[a:b], labels[a:b]) for a, b in zip(bounds, bounds[1:])],
-        test=test,
+        test=(features[bounds[-1] :], labels[bounds[-1] :]),
         round_times=round_times,
         horizon_s=traces.horizon_s,
         digest=_world_digest(client_ids, caps, traces, order, bounds),

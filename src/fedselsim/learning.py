@@ -13,15 +13,26 @@ log = logging.getLogger(__name__)
 BYTES_PER_PARAM = 8
 
 
-@dataclass
-class Dataset:
-    """Gaussian-blob classification data with a fixed train/test split."""
+# Values in one temporary block of drawn features, so that the noise is drawn
+# in pieces of at most 512 KiB, whatever the size of the dataset.
+_BLOCK_ELEMENTS = 1 << 16
 
-    features: np.ndarray   # (n, d) float64
+
+@dataclass
+class Split:
+    """The labels of a task's samples and their stratified train/test split."""
+
     labels: np.ndarray     # (n,) int64 in [0, K)
     train_idx: np.ndarray
     test_idx: np.ndarray
     num_classes: int
+
+
+@dataclass
+class Dataset(Split):
+    """Gaussian-blob classification data with a fixed train/test split."""
+
+    features: np.ndarray   # (n, d) float64
 
 
 def num_params(classes_k: int, features_d: int) -> int:
@@ -55,7 +66,7 @@ def _class_splits(num_samples: int, classes_k: int) -> list[tuple[int, int]]:
 
 
 def train_split_size(num_samples: int, classes_k: int) -> int:
-    """Size of make_dataset's train split, which dirichlet_partition divides.
+    """Size of split_samples' train split, which dirichlet_partition divides.
 
     The sum of `_class_splits`' train counts in constant time: `rem` classes
     hold `base + 1` samples and the others `base`.
@@ -68,45 +79,77 @@ def train_split_size(num_samples: int, classes_k: int) -> int:
     return rem * n_train(base + 1) + (classes_k - rem) * n_train(base)
 
 
-def make_dataset(
-    num_samples: int, features_d: int, classes_k: int, class_sep: float, seed
-) -> Dataset:
-    """Balanced Gaussian blobs with an ~80/20 stratified split.
+def split_samples(num_samples: int, classes_k: int) -> Split:
+    """Balanced classes of consecutive samples, each split ~80/20 into train then test.
 
-    Every class lands in both splits; requires at least 5 samples per class.
+    Fixed by (num_samples, classes_k): nothing is drawn. Every class lands in
+    both splits; requires at least 5 samples per class.
     """
-    if classes_k < 2 or features_d < 1:
-        raise ValueError(f"need classes_k >= 2 and features_d >= 1, got {classes_k}, {features_d}")
+    if classes_k < 2:
+        raise ValueError(f"need classes_k >= 2, got {classes_k}")
     if num_samples < 5 * classes_k:
         raise ValueError(f"need at least {5 * classes_k} samples for {classes_k} classes")
-    rng = np.random.default_rng(seed)
-    means = rng.normal(0.0, 1.0, size=(classes_k, features_d)) * class_sep
-
     splits = _class_splits(num_samples, classes_k)
     counts = [n_train + n_test for n_train, n_test in splits]
-    labels = np.repeat(np.arange(classes_k, dtype=np.int64), counts)
-    # The noise, with each class's mean added in place to its rows: the bytes
-    # of means[labels] + noise, without a second (num_samples, features_d) block.
-    features = rng.normal(0.0, 1.0, size=(num_samples, features_d))
-
     train_parts, test_parts = [], []
     start = 0
-    for mean, (n_train, n_test) in zip(means, splits):
-        features[start : start + n_train + n_test] += mean
+    for n_train, n_test in splits:
         train_parts.append(np.arange(start, start + n_train))
         test_parts.append(np.arange(start + n_train, start + n_train + n_test))
         start += n_train + n_test
-    return Dataset(
-        features=features,
-        labels=labels,
+    return Split(
+        labels=np.repeat(np.arange(classes_k, dtype=np.int64), counts),
         train_idx=np.concatenate(train_parts),
         test_idx=np.concatenate(test_parts),
         num_classes=classes_k,
     )
 
 
+def draw_features(
+    num_samples: int, features_d: int, classes_k: int, class_sep: float, seed, rows
+) -> np.ndarray:
+    """Gaussian blobs of `split_samples`' samples; row i holds sample rows[i].
+
+    `rows` orders all num_samples samples, each once. The class means are
+    drawn first, times class_sep, then a noise row per sample, in sample order.
+    The noise is drawn in blocks of at most `_BLOCK_ELEMENTS` values inside
+    one class, and each block gets its class's mean added in place and goes
+    straight to its rows. Drawn in one call and then permuted, the bytes would
+    be the same: `normal` fills blocks from the stream as it fills one array.
+    """
+    if classes_k < 2 or features_d < 1:
+        raise ValueError(f"need classes_k >= 2 and features_d >= 1, got {classes_k}, {features_d}")
+    pos = np.full(num_samples, -1, np.int64)   # the row of each sample
+    pos[rows] = np.arange(len(rows))
+    if len(rows) != num_samples or np.minimum.reduce(pos) < 0:
+        raise ValueError(f"rows must order all {num_samples} samples, each once")
+    rng = np.random.default_rng(seed)
+    means = rng.normal(0.0, 1.0, size=(classes_k, features_d)) * class_sep
+    features = np.empty((num_samples, features_d))
+    step = max(1, _BLOCK_ELEMENTS // features_d)
+    stop = 0
+    for mean, (n_train, n_test) in zip(means, _class_splits(num_samples, classes_k)):
+        start, stop = stop, stop + n_train + n_test
+        for a in range(start, stop, step):
+            block = rng.normal(0.0, 1.0, size=(min(step, stop - a), features_d))
+            block += mean
+            features[pos[a : a + len(block)]] = block
+    return features
+
+
+def make_dataset(
+    num_samples: int, features_d: int, classes_k: int, class_sep: float, seed
+) -> Dataset:
+    """`split_samples` with its features drawn in sample order."""
+    split = split_samples(num_samples, classes_k)
+    features = draw_features(
+        num_samples, features_d, classes_k, class_sep, seed, np.arange(num_samples)
+    )
+    return Dataset(**vars(split), features=features)
+
+
 def dirichlet_partition(
-    dataset: Dataset, num_clients: int, alpha: float, seed
+    dataset: Split, num_clients: int, alpha: float, seed
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split the train set across clients with per-class Dirichlet proportions.
 

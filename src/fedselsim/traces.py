@@ -15,9 +15,9 @@ import math
 import operator
 from array import array
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -372,9 +372,10 @@ def generate_pool(
     return TraceTable(np.concatenate(starts), offsets, flips, horizon_s)
 
 
-def parse_trace_file(text: str) -> TraceTable:
+def parse_trace_file(lines: Iterable[str]) -> TraceTable:
     """Parse the line-based trace format (see serialize_trace_file) into one table.
 
+    `lines` may be an open text file, which is then read one line at a time.
     The lines are scanned in order, and a line that breaks the syntax (the
     header, a start state, a non-numeric value, a duplicate id) raises at
     once. The table then checks every flip in one pass, and its first faulty
@@ -384,7 +385,7 @@ def parse_trace_file(text: str) -> TraceTable:
     horizon: float | None = None
     starts, counts, flips, linenos = [], [], array("d"), []
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -427,12 +428,18 @@ def parse_trace_file(text: str) -> TraceTable:
         raise ParseError(f"line {linenos[trace]}: {exc}") from None
 
 
-def serialize_trace_file(table: TraceTable) -> str:
-    """One `!horizon` header, then `<client_id> <0|1> <t1> <t2> ...` per trace."""
+def serialize_trace_file(table: TraceTable) -> Iterator[str]:
+    """The lines of the table's trace file, each made as it is read.
+
+    One `!horizon` header, then `<client_id> <0|1> <t1> <t2> ...` per trace,
+    each ending in a newline: `fh.writelines(serialize_trace_file(table))`
+    writes the file one line at a time. An empty table raises at the call.
+    """
     if not len(table):
         raise ValueError("cannot serialize an empty trace table")
     flips, bounds = table.flips, table.offsets.tolist()
-    lines = [f"!horizon {table.horizon_s!r}"]
-    for i, (start, lo, hi) in enumerate(zip(table.start.tolist(), bounds, bounds[1:])):
-        lines.append(" ".join([f"c{i}", "1" if start else "0", *map(repr, flips[lo:hi].tolist())]))
-    return "\n".join(lines) + "\n"
+    traces = (
+        " ".join([f"c{i}", "1" if start else "0", *map(repr, flips[lo:hi].tolist())]) + "\n"
+        for i, (start, lo, hi) in enumerate(zip(table.start.tolist(), bounds, bounds[1:]))
+    )
+    return chain([f"!horizon {table.horizon_s!r}\n"], traces)

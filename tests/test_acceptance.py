@@ -80,9 +80,9 @@ def separable_reports(tmp_path_factory):
     # converge and no round may fail
     path = tmp_path_factory.mktemp("acceptance") / "always_on.txt"
     path.write_text(
-        serialize_trace_file(
+        "".join(serialize_trace_file(
             TraceTable(np.ones(300, bool), np.zeros(301, np.int64), np.empty(0), 10_000.0)
-        )
+        ))
     )
     cfg = config_from_dict(
         {

@@ -889,7 +889,8 @@ def test_cli_gen_traces_round_trips(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path)
     out = tmp_path / "traces.txt"
     assert main(["gen-traces", "--config", cfg_path, "--out", str(out)]) == 0
-    parsed, pool = parse_trace_file(out.read_text()), synthetic_pool(load_config(cfg_path))
+    with open(out) as fh:
+        parsed, pool = parse_trace_file(fh), synthetic_pool(load_config(cfg_path))
     assert parsed.horizon_s == pool.horizon_s
     for name in ("start", "offsets", "flips"):
         assert getattr(parsed, name).tobytes() == getattr(pool, name).tobytes(), name

@@ -1,8 +1,11 @@
 """Round loop: clocks, failures, timeouts, aggregation, metrics, comparisons."""
 
+import gc
 import json
 import os
 import pickle
+import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -24,7 +27,7 @@ from fedselsim.engine import (
     run_round,
     summarize_reports,
 )
-from fedselsim.errors import ConfigError, SimulationError
+from fedselsim.errors import ConfigError, ParseError, SimulationError
 from fedselsim.selectors import SelectorState, update_history
 from fedselsim.traces import AvailabilityTrace, TraceTable, is_available, serialize_trace_file
 
@@ -203,7 +206,7 @@ def always_on_cfg(tmp_path, num_clients=10, num_rounds=30, clients_per_round=4):
     n = 3 * num_clients
     pool = TraceTable(np.ones(n, bool), np.zeros(n + 1, np.int64), np.empty(0), horizon)
     path = tmp_path / "always_on.txt"
-    path.write_text(serialize_trace_file(pool))
+    path.write_text("".join(serialize_trace_file(pool)))
     cfg.scenario.source = "file"
     cfg.scenario.trace_file = str(path)
     return cfg
@@ -356,7 +359,7 @@ def test_skipped_last_round_reports_the_final_model(tmp_path):
     leave = run_experiment(cfg, 2).rounds[9].start_s
     horizon = 2 * cfg.round.num_rounds * cfg.round.timeout_s
     pool = TraceTable(np.ones(18, bool), np.arange(19, dtype=np.int64), np.full(18, leave), horizon)
-    Path(cfg.scenario.trace_file).write_text(serialize_trace_file(pool))
+    Path(cfg.scenario.trace_file).write_text("".join(serialize_trace_file(pool)))
     world = build_world(cfg)
     report = run_experiment(cfg, 2, world=world)
     assert report.rounds[-1].skipped
@@ -392,37 +395,89 @@ def test_world_rows_and_test_are_the_gathered_splits():
 
 @pytest.mark.parametrize("source", ["synthetic", "file"])
 def test_build_world_lets_each_large_array_go_once_read(monkeypatch, tmp_path, source):
-    # The pool is gone before the data is built, and the Dataset before the digest.
+    # The pool is gone before the features are drawn, and the split before the
+    # digest. The features are drawn once: every shard and the test split are
+    # views of that one block.
     cfg = small_cfg(num_clients=40)
     if source == "file":
         path = tmp_path / "traces.txt"
-        path.write_text(serialize_trace_file(engine.synthetic_pool(cfg)))
+        path.write_text("".join(serialize_trace_file(engine.synthetic_pool(cfg))))
         cfg.scenario.source, cfg.scenario.trace_file = "file", str(path)
     read_pool = "generate_pool" if source == "synthetic" else "parse_trace_file"
     real = {name: getattr(engine, name) for name in (read_pool, "_world_digest")}
-    real_make_dataset = learning.make_dataset
-    pool_flips, dataset_features, alive = [], [], {}
+    real_split, real_draw = learning.split_samples, learning.draw_features
+    pool_flips, split_labels, drawn, alive = [], [], [], {}
 
     def traced_pool(*args):
         pool = real[read_pool](*args)
         pool_flips.append(weakref.ref(pool.flips))
         return pool
 
-    def traced_make_dataset(*args):
-        alive["pool at make_dataset"] = [ref() is not None for ref in pool_flips]
-        dataset = real_make_dataset(*args)
-        dataset_features.append(weakref.ref(dataset.features))
-        return dataset
+    def traced_split(*args):
+        split = real_split(*args)
+        split_labels.append(weakref.ref(split.labels))
+        return split
+
+    def traced_draw(*args):
+        alive["pool at draw"] = [ref() is not None for ref in pool_flips]
+        drawn.append(real_draw(*args))
+        return drawn[-1]
 
     def traced_digest(*args):
-        alive["dataset at digest"] = [ref() is not None for ref in dataset_features]
+        alive["split at digest"] = [ref() is not None for ref in split_labels]
         return real["_world_digest"](*args)
 
     monkeypatch.setattr(engine, read_pool, traced_pool)
-    monkeypatch.setattr(learning, "make_dataset", traced_make_dataset)
+    monkeypatch.setattr(learning, "split_samples", traced_split)
+    monkeypatch.setattr(learning, "draw_features", traced_draw)
     monkeypatch.setattr(engine, "_world_digest", traced_digest)
-    build_world(cfg)
-    assert alive == {"pool at make_dataset": [False], "dataset at digest": [False]}
+    world = build_world(cfg)
+    assert alive == {"pool at draw": [False], "split at digest": [False]}
+    assert len(drawn) == 1
+    for features, _ in [*world.rows, world.test]:
+        assert features.base is drawn[0]
+
+
+def test_build_world_holds_the_features_once(monkeypatch):
+    # A data-heavy world: 20 000 samples x 64 features are 10 MiB, and the
+    # traces of 100 clients are small beside them. From the partition on, the
+    # traced memory peaks at about one features block, not at two (the block
+    # drawn in sample order and its rows gathered in client order).
+    cfg = small_cfg(num_clients=100, num_rounds=10)
+    cfg.round.timeout_s = 600.0
+    cfg.task.num_samples, cfg.task.features_d, cfg.task.classes_k = 20_000, 64, 10
+    real = learning.dirichlet_partition
+
+    def partition(*args):
+        tracemalloc.reset_peak()
+        return real(*args)
+
+    monkeypatch.setattr(learning, "dirichlet_partition", partition)
+    tracemalloc.start()
+    try:
+        world = build_world(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = world.test[0].nbytes + sum(features.nbytes for features, _ in world.rows)
+    assert nbytes == 20_000 * 64 * 8
+    assert peak <= 1.3 * nbytes
+
+
+def test_build_world_closes_the_trace_file(tmp_path):
+    # The file is parsed one line at a time while it is open, and closed
+    # whether it parses or not.
+    cfg = always_on_cfg(tmp_path)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("!horizon 100\nc0 2\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        build_world(cfg)
+        cfg.scenario.trace_file = str(bad)
+        with pytest.raises(ParseError, match="line 2"):
+            build_world(cfg)
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_strict_timeout_cross_check():

@@ -61,7 +61,7 @@ FIXTURE = {
     "seeds": {"run_seeds": RUN_SEEDS},
 }
 
-# SHA-256 of serialize_trace_file(synthetic_pool(cfg)): 180 traces over a
+# SHA-256 of the lines of serialize_trace_file(synthetic_pool(cfg)): 180 traces over a
 # 6 000 s horizon for the fixture, 300 over 36 000 s for the defaults.
 GOLDEN_POOLS = {
     "fixture": "ca8eaac95e403d8a90268883ba5e8cf0a8faf9a899df2e7e5aeb6fc240f86d84",
@@ -134,5 +134,5 @@ def test_fixture_exercises_failures(comparison):
 
 @pytest.mark.parametrize("name, data", [("fixture", FIXTURE), ("defaults", {})])
 def test_synthetic_pool_bytes_match_golden(name, data):
-    text = serialize_trace_file(synthetic_pool(config_from_dict(data)))
+    text = "".join(serialize_trace_file(synthetic_pool(config_from_dict(data))))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_POOLS[name]

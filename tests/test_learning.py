@@ -58,6 +58,59 @@ def test_make_dataset_validation():
 
 # --------------------------------------------------------- dirichlet_partition
 
+def test_split_samples_is_make_datasets_split():
+    for num_samples, classes_k in [(103, 4), (37, 7), (10, 2)]:
+        split = learning.split_samples(num_samples, classes_k)
+        ds = learning.make_dataset(num_samples, 2, classes_k, 1.0, 0)
+        for name in ("labels", "train_idx", "test_idx"):
+            assert getattr(split, name).tobytes() == getattr(ds, name).tobytes(), name
+        assert split.num_classes == ds.num_classes == classes_k
+    with pytest.raises(ValueError):
+        learning.split_samples(100, 1)
+    with pytest.raises(ValueError):
+        learning.split_samples(9, 2)
+
+
+@pytest.mark.parametrize(
+    "num_samples, features_d, classes_k, block",
+    [
+        (103, 6, 4, 7),        # uneven classes, two rows a block
+        (37, 3, 7, 12),        # classes of five and six samples: one test row each
+        (61, 2, 7, 1),         # one row a block
+        (997, 5, 10, 1 << 16), # one block a class
+    ],
+)
+def test_draw_features_places_make_datasets_rows(monkeypatch, num_samples, features_d, classes_k, block):
+    # Row i of the placed draw is row rows[i] of make_dataset's features, byte
+    # for byte, drawn in blocks that split a class or not. The reference is
+    # the gathered-means oracle, which make_dataset's features equal.
+    rng = np.random.default_rng(num_samples)
+    split = learning.split_samples(num_samples, classes_k)
+    order, _ = learning.dirichlet_partition(split, 5, 0.3, 1)
+    orders = [
+        np.arange(num_samples),
+        np.arange(num_samples)[::-1],
+        np.concatenate((order, split.test_idx)),   # build_world's layout
+        *(rng.permutation(num_samples) for _ in range(5)),
+    ]
+    for seed in (0, 2**40):
+        expected, _ = oracles.gathered_blobs(num_samples, features_d, classes_k, 1.5, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(learning, "_BLOCK_ELEMENTS", block)
+            for rows in orders:
+                got = learning.draw_features(num_samples, features_d, classes_k, 1.5, seed, rows)
+                assert got.flags.c_contiguous and got.dtype == expected.dtype
+                assert got.tobytes() == expected[rows].tobytes()
+
+
+def test_draw_features_needs_every_sample_once():
+    for rows in ([0, 1, 2, 3, 4, 5, 6, 7, 8], [0] * 10, [*range(9), 8], [*range(10), 0]):
+        with pytest.raises(ValueError, match="each once"):
+            learning.draw_features(10, 2, 2, 1.0, 0, np.array(rows))
+    with pytest.raises(ValueError):
+        learning.draw_features(10, 0, 2, 1.0, 0, np.arange(10))
+
+
 def test_train_split_size_equals_the_per_class_sum():
     # make_dataset's per-class split, summed class by class, over a grid that
     # includes fewer samples than classes (where the counts go negative)

@@ -602,6 +602,28 @@ def test_rank_traces_does_not_copy_the_flips():
     assert peak < pool.flips.nbytes / 4
 
 
+def test_trace_files_are_written_and_parsed_one_line_at_a_time(tmp_path):
+    # The file is about 2.3 times the flips; neither side holds it whole. A
+    # parse holds the flips (a growing array), then the flip check's masks.
+    pool = generate_pool(MEMORY_POOL[0], 100, *MEMORY_POOL[2:])
+    path = tmp_path / "traces.txt"
+
+    def write():
+        with open(path, "w") as fh:
+            fh.writelines(serialize_trace_file(pool))
+
+    def parse():
+        with open(path) as fh:
+            return parse_trace_file(fh)
+
+    _, written = traced_peak(write)
+    assert path.stat().st_size > 2 * pool.flips.nbytes > 1 << 22
+    assert written < pool.flips.nbytes / 4
+    parsed, peak = traced_peak(parse)
+    assert_same_table(parsed, pool)
+    assert peak <= 1.6 * pool.flips.nbytes
+
+
 def test_rank_order_equals_sorted_with_exact_ties():
     # Copies tie exactly on (fraction, rate), and the half-up traces tie on
     # fraction alone; both ways of ranking give sorted()'s order.
@@ -661,14 +683,14 @@ def test_take_checks_the_table_it_makes(monkeypatch):
 # ------------------------------------------------------------------ trace files
 
 def test_parse_trace_file_example():
-    table = parse_trace_file("!horizon 1000\nc1 1 100 250\n")
+    table = parse_trace_file("!horizon 1000\nc1 1 100 250\n".splitlines())
     assert isinstance(table, TraceTable)
     assert list(table) == [AvailabilityTrace(True, (100.0, 250.0), 1000.0)]
 
 
 def test_parse_trace_file_comments_and_blanks():
     text = "# a comment\n\n!horizon 500\n# another\nc0 0\nc1 1 10\n"
-    assert list(parse_trace_file(text)) == [
+    assert list(parse_trace_file(text.splitlines())) == [
         AvailabilityTrace(False, (), 500.0),
         AvailabilityTrace(True, (10.0,), 500.0),
     ]
@@ -690,9 +712,37 @@ def test_serialize_parse_roundtrip_keeps_every_array():
         [*(tr.transitions for tr in generated), *edges],
         36_000.0,
     )
-    text = serialize_trace_file(pool)
-    assert_same_table(parse_trace_file(text), pool)
-    assert serialize_trace_file(parse_trace_file(text)) == text
+    text = "".join(serialize_trace_file(pool))
+    assert_same_table(parse_trace_file(text.splitlines()), pool)
+    assert "".join(serialize_trace_file(parse_trace_file(text.splitlines()))) == text
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_parse_trace_file_reads_an_open_file_line_by_line(tmp_path, newline):
+    # A file read line by line gives the table and the line numbers of its text.
+    rng = np.random.default_rng(8)
+    pool = table_of([random_trace(rng) for _ in range(20)])
+    path = tmp_path / "traces.txt"
+    with open(path, "w", newline=newline) as fh:
+        fh.writelines(serialize_trace_file(pool))
+    with open(path) as fh:
+        assert_same_table(parse_trace_file(fh), pool)
+    path.write_text("# pool\n\n!horizon 100\nc0 1 5\n\nc1 0 7 7\n", newline=newline)
+    with open(path) as fh, pytest.raises(ParseError, match="^line 6: transitions must"):
+        parse_trace_file(fh)
+
+
+def test_a_file_line_ends_only_at_a_newline(tmp_path):
+    # str.splitlines also ends a line at VT, FF, FS, GS, RS, NEL, LS and PS; a
+    # text file does not, and str.split reads them as whitespace in its line.
+    path = tmp_path / "traces.txt"
+    for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        path.write_text(f"!horizon 100\nc0 1 5{sep}c1 0 6\n", encoding="utf-8")
+        with open(path, encoding="utf-8") as fh, pytest.raises(ParseError, match="^line 2: non-numeric"):
+            parse_trace_file(fh)
+        path.write_text(f"!horizon 100\nc0 1 5{sep}6\n", encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            assert [tr.transitions for tr in parse_trace_file(fh)] == [(5.0, 6.0)]
 
 
 def test_parsing_checks_the_flips_once_per_file(monkeypatch):
@@ -704,7 +754,7 @@ def test_parsing_checks_the_flips_once_per_file(monkeypatch):
 
     check = traces._check_flips
     monkeypatch.setattr(traces, "_check_flips", counted)
-    table = parse_trace_file("!horizon 100\nc0 1 5 6\nc1 0\nc2 0 1 2 3\n")
+    table = parse_trace_file("!horizon 100\nc0 1 5 6\nc1 0\nc2 0 1 2 3\n".splitlines())
     assert calls == [5] and len(table) == 3
     assert [tr.transitions for tr in table] == [(5.0, 6.0), (), (1.0, 2.0, 3.0)]
 
@@ -742,7 +792,7 @@ def test_parsing_checks_the_flips_once_per_file(monkeypatch):
 )
 def test_parse_trace_file_reports_the_line_of_the_first_faulty_flip(text, message):
     with pytest.raises(ParseError) as caught:
-        parse_trace_file(text)
+        parse_trace_file(text.splitlines())
     assert str(caught.value) == message
 
 
@@ -751,13 +801,13 @@ def test_parse_trace_file_reports_a_syntax_fault_before_a_flip_fault():
     # line's syntax fault wins over an earlier line's flip fault.
     text = "!horizon 100\nc0 1 50 40\nc1 2\n"
     with pytest.raises(ParseError, match="^line 3: expected '<client_id> <0|1>"):
-        parse_trace_file(text)
+        parse_trace_file(text.splitlines())
     with pytest.raises(ParseError, match="^line 2: transitions must be strictly increasing"):
-        parse_trace_file(text.replace("c1 2", "c1 1"))
+        parse_trace_file(text.replace("c1 2", "c1 1").splitlines())
     with pytest.raises(ParseError, match="^line 3: non-numeric timestamp"):
-        parse_trace_file(text.replace("c1 2", "c1 1 x"))
+        parse_trace_file(text.replace("c1 2", "c1 1 x").splitlines())
     with pytest.raises(ParseError, match="^line 3: duplicate client id 'c0'"):
-        parse_trace_file(text.replace("c1 2", "c0 1"))
+        parse_trace_file(text.replace("c1 2", "c0 1").splitlines())
 
 
 @pytest.mark.parametrize(
@@ -780,7 +830,7 @@ def test_parse_trace_file_reports_a_syntax_fault_before_a_flip_fault():
 )
 def test_parse_trace_file_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
-        parse_trace_file(text)
+        parse_trace_file(text.splitlines())
 
 
 def test_serialize_trace_file_validation():
