@@ -17,8 +17,6 @@ import typing
 from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
-import yaml
-
 from .errors import ConfigError
 from .learning import train_split_size
 
@@ -401,7 +399,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def _yaml_problem(exc: yaml.YAMLError) -> str:
+def _yaml_problem(exc) -> str:
     """PyYAML's error on one line: the problem and where it was found."""
     problem, mark = getattr(exc, "problem", None), getattr(exc, "problem_mark", None)
     if problem and mark:
@@ -413,6 +411,8 @@ def _yaml_problem(exc: yaml.YAMLError) -> str:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read a YAML config file, fill defaults, and validate strictly."""
+    import yaml   # here, not at the top: only a config file needs the YAML parser
+
     path = Path(path)
     try:
         text = path.read_text()

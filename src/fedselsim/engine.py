@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -324,7 +323,7 @@ def run_experiment(
         world = build_world(cfg)
     num_rounds = cfg.round.num_rounds
     timeout = cfg.round.timeout_s
-    state = SelectorState(len(world.client_ids))
+    state = SelectorState(len(world.client_ids), cfg.selector.mda.memory_length)
     select = make_selector(
         cfg.selector.kind,
         round_times=world.round_times,
@@ -454,6 +453,9 @@ def run_cells(
     world = build_world(cfg)
     if jobs <= 1:
         return [run_experiment(replace_selector(cfg, k), s, world=world) for k, s in cells]
+    # Imported here: it loads multiprocessing, which a single-process run never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(cells)), initializer=_init_worker, initargs=(cfg, world)
     ) as pool:

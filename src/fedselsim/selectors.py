@@ -22,21 +22,26 @@ class SelectorState:
 
     The history is held in arrays, not in per-client lists:
 
-    - availability: one boolean row over all clients per round begun; row i
-      is the ping at the start of round i (the server pings every client each
-      round, so there are no gaps);
+    - availability: the pings of the last `window` rounds begun, one boolean
+      row over all clients each, in a ring: round i's ping is row
+      i % window (the server pings every client each round, so there are no
+      gaps). MDA reads the last memory_length pings, so that is the window
+      run_experiment gives, and the failure check reads the one before;
     - failures: two flat, append-only arrays of (client, round) events, in the
       order update_history received them, so each client's events run in
       ascending round order;
     - round_start_times: simulated clock value at the start of each round begun.
     """
 
-    def __init__(self, num_clients: int):
+    def __init__(self, num_clients: int, window: int = MdaConfig.memory_length):
         if num_clients < 1:
             raise ValueError(f"num_clients must be >= 1, got {num_clients}")
+        if window < 2:
+            raise ValueError(f"window must be >= 2 rounds, got {window}")
         self.num_clients = num_clients
+        self.window = window
         self.round_start_times: list[float] = []
-        self._rows: list[np.ndarray] = []
+        self._pings = np.zeros((window, num_clients), dtype=bool)
         self._fail_clients = np.zeros(16, dtype=np.int64)
         self._fail_rounds = np.zeros(16, dtype=np.int64)
         self._num_failures = 0
@@ -46,9 +51,19 @@ class SelectorState:
         """Index of the round most recently begun; -1 before any history exists."""
         return len(self.round_start_times) - 1
 
+    def ping(self, round_index: int) -> np.ndarray:
+        """The availability row of round round_index, one of the last `window` begun."""
+        oldest = max(self.current_round - self.window + 1, 0)
+        if not oldest <= round_index <= self.current_round:
+            raise ValueError(
+                f"round {round_index} is not held: the state holds rounds "
+                f"{oldest} to {self.current_round}"
+            )
+        return self._pings[round_index % self.window]
+
     def available_clients(self, round_index: int) -> list[int]:
         """Ascending indices of the clients available when round round_index began."""
-        return np.flatnonzero(self._rows[round_index]).tolist()
+        return np.flatnonzero(self.ping(round_index)).tolist()
 
 
 def update_history(
@@ -72,15 +87,16 @@ def update_history(
     failed = sorted(set(failures_last_round))
     if round_index == 0 and failed:
         raise ValueError("no failures can be reported at round 0")
+    previous = state.ping(round_index - 1) if failed else None
     for c in failed:
         if not 0 <= c < state.num_clients:
             raise ValueError(f"failed client index {c} out of range")
-        if not state._rows[round_index - 1][c]:
+        if not previous[c]:
             raise ValueError(
                 f"client {c} reported failed at round {round_index - 1} "
                 "but was unavailable then"
             )
-    state._rows.append(np.array(availability_now, dtype=bool))
+    state._pings[round_index % state.window] = availability_now
     start, stop = state._num_failures, state._num_failures + len(failed)
     if stop > len(state._fail_clients):
         capacity = max(2 * len(state._fail_clients), stop)
@@ -106,11 +122,15 @@ def _raw_weights(state: SelectorState, candidates: Sequence[int], cfg: MdaConfig
     # for bit (np.sum's pairwise order would change the low bits).
     cands = np.asarray(candidates, dtype=np.int64)
     m = cfg.memory_length
-    if len(state._rows) < m:
+    r = state.current_round
+    if r + 1 < m:
         raw = np.full(len(cands), cfg.default_weight)
     else:
+        if m > state.window:
+            raise ValueError(f"memory_length {m} exceeds the {state.window} pings the state holds")
         times = state.round_start_times[-m:]
-        window = [row[cands] for row in state._rows[-m:]]
+        pings, w = state._pings, state.window
+        window = [pings[i % w][cands] for i in range(r - m + 1, r + 1)]   # oldest first
         up = np.zeros(len(cands))
         for k in range(m - 1):
             # an inter-round interval counts only if available at BOTH endpoints
@@ -120,7 +140,6 @@ def _raw_weights(state: SelectorState, candidates: Sequence[int], cfg: MdaConfig
     if n:
         # Each client's 1/(r - i) terms are added in event order, i.e. by
         # ascending round; a never-failed client's sum is 0, its factor exactly 1.
-        r = state.current_round
         pen = np.bincount(
             state._fail_clients[:n],
             weights=1.0 / (r - state._fail_rounds[:n]),

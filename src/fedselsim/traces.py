@@ -142,33 +142,42 @@ def _table_stats(table: TraceTable) -> tuple[np.ndarray, np.ndarray]:
 
     The up time adds the trace's up segments left to right, as a flip-by-flip
     walk does (`loop_trace_stats` in `tests/oracles.py`), so the pair is bit
-    for bit the walk's. Traces are laid out as padded rows, widest first, of
-    their edges: the flips, then the horizon repeated. A row's differences are
-    its segments, each computed as the walk computes it, and padding adds
-    segments of 0.0, which change no sum. Segment j is up when the start state
-    is, flipped j times, so `cumsum` along the even segments gives the up time
-    of a trace that starts up, and along the odd ones that of the rest.
+    for bit the walk's. The traces are worked through widest first, in blocks
+    of rows of about the same width (`_up_times`).
     """
-    horizon, flips = table.horizon_s, table.flips
     counts = np.diff(table.offsets)
     up = np.empty(len(counts))
     widest_first = np.argsort(-counts, kind="stable")
     lo = 0
     while lo < len(counts):
-        width = int(counts[widest_first[lo]]) + 2   # at least one even and one odd segment
-        rows = widest_first[lo : lo + max(1, _BLOCK_ELEMENTS // width)]
-        cols = np.arange(width)
-        inside = cols < counts[rows, None]   # past its last flip, a row reads the horizon
-        at = np.where(inside, table.offsets[rows, None] + cols, 0)
-        edges = np.where(inside, flips[at] if len(flips) else 0.0, horizon)
-        segments = np.diff(edges, axis=1, prepend=0.0)
-        up[rows] = np.where(
-            table.start[rows],
-            segments[:, 0::2].cumsum(axis=1)[:, -1],
-            segments[:, 1::2].cumsum(axis=1)[:, -1],
-        )
+        width = 2 * (int(counts[widest_first[lo]]) // 2 + 1)   # >= its flips + 1 for either start
+        rows = widest_first[lo : lo + max(1, _BLOCK_ELEMENTS // 2 // width)]
+        up[rows] = _up_times(table, rows, counts[rows], width)
         lo += len(rows)
-    return up / horizon, counts / (horizon / 3600.0)
+    return up / table.horizon_s, counts / (table.horizon_s / 3600.0)
+
+
+def _up_times(table: TraceTable, rows: np.ndarray, counts: np.ndarray, width: int) -> np.ndarray:
+    """The up time of each trace in `rows`, which hold `counts` flips, none over `width` - 1.
+
+    The traces are laid out as padded rows of `width` (even) edges: a 0.0 if
+    the trace starts up, its flips, then the horizon repeated. Each pair of
+    columns (2k, 2k + 1) is then one up segment, computed as the walk computes
+    it, and padding adds segments of 0.0, which change no sum; `cumsum` along
+    a row's pairs gives its up time. The rows hold an index, then an edge, per
+    element, so a block of half `_BLOCK_ELEMENTS` elements takes about 512 KiB.
+    """
+    cols = np.arange(width)
+    shift = table.start[rows]   # a row that starts up reads 0.0 first
+    at = table.offsets[rows, None] - shift[:, None] + cols
+    # Indices before a table's first flip or past its last are clipped; every
+    # entry they give is overwritten below.
+    edges = table.flips.take(at, mode="clip") if len(table.flips) else np.zeros(at.shape)
+    del at
+    edges[cols >= (counts + shift)[:, None]] = table.horizon_s   # past the last flip
+    edges[shift, 0] = 0.0
+    segments = np.subtract(edges[:, 1::2], edges[:, 0::2], out=edges[:, 1::2])
+    return segments.cumsum(axis=1, out=segments)[:, -1]
 
 
 def rank_traces(table: TraceTable) -> list[int]:

@@ -13,7 +13,8 @@ def state_from_history(per_client, starts):
 
     The history is replayed through update_history, so it obeys the same
     rules: one availability entry per round start, and failures only at
-    earlier rounds at which the client was available.
+    earlier rounds at which the client was available. The state's window is
+    the whole history, so every round stays held.
     """
     failed_at = {}
     for c, (hist, fails) in enumerate(per_client):
@@ -25,7 +26,7 @@ def state_from_history(per_client, starts):
             failed_at.setdefault(int(i), []).append(c)
     if any(i >= len(starts) - 1 for i in failed_at):
         raise ValueError("failures can only be recorded at rounds before the current one")
-    state = SelectorState(len(per_client))
+    state = SelectorState(len(per_client), max(2, len(starts)))
     for r, now in enumerate(starts):
         update_history(
             state, r, now, [hist[r] for hist, _ in per_client], failed_at.get(r - 1, [])
@@ -34,8 +35,8 @@ def state_from_history(per_client, starts):
 
 
 def client_availability(state, c):
-    """Whether client c was available at the start of each round begun."""
-    return [bool(row[c]) for row in state._rows]
+    """Whether client c was available at the start of each round begun (all still held)."""
+    return [bool(state.ping(r)[c]) for r in range(state.current_round + 1)]
 
 
 def client_failures(state, c):

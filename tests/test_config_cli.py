@@ -3,14 +3,18 @@
 import csv
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 import yaml
 
+import fedselsim
 import oracles
 from fedselsim import engine
 from fedselsim.cli import main
@@ -482,6 +486,28 @@ def test_load_config_reads_yaml(tmp_path):
     assert cfg == config_from_dict(yaml.safe_load(BASE_YAML))
     assert cfg.population.num_clients == 12
     assert cfg.seeds.run_seeds == (1, 2)
+
+
+def test_the_process_pool_and_yaml_are_imported_only_when_used(tmp_path):
+    # A run with one job forks no worker, and a config built from a mapping
+    # reads no YAML, so importing the package loads neither; load_config then
+    # brings in the parser.
+    script = textwrap.dedent(
+        """
+        import sys
+        import fedselsim.cli, fedselsim.config, fedselsim.engine
+        lazy = ("multiprocessing", "concurrent.futures", "yaml")
+        print([name for name in lazy if name in sys.modules])
+        cfg = fedselsim.config.load_config(sys.argv[1])
+        print("yaml" in sys.modules, cfg.population.num_clients)
+        """
+    )
+    src = str(Path(fedselsim.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script, write_cfg(tmp_path)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.splitlines() == ["[]", "True 12"]
 
 
 def test_shipped_configs_load_and_example_holds_every_default():

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedselsim import engine, learning
+from fedselsim import engine, learning, selectors
 from fedselsim.config import ExperimentConfig
 from fedselsim.engine import (
     ROUND_LOG_COLUMNS,
@@ -462,6 +462,36 @@ def test_build_world_holds_the_features_once(monkeypatch):
     nbytes = world.test[0].nbytes + sum(features.nbytes for features, _ in world.rows)
     assert nbytes == 20_000 * 64 * 8
     assert peak <= 1.3 * nbytes
+
+
+def test_an_mda_cell_holds_memory_length_pings(tmp_path, monkeypatch):
+    # 2 000 clients over 1 000 rounds: every ping would be N x rounds = 2 MB.
+    # The state holds the last memory_length of them, m x N bytes, beside the
+    # round start times (a float and a list slot per round). One trace in 20
+    # is up, so the pools stay small and the traced run quick.
+    cfg = always_on_cfg(tmp_path, num_clients=2000, num_rounds=1000)
+    pool = TraceTable(np.arange(6000) % 20 == 0, np.zeros(6001, np.int64), np.empty(0), 1e6)
+    Path(cfg.scenario.trace_file).write_text("".join(serialize_trace_file(pool)))
+    cfg.task.num_samples = 4000
+    cfg.selector.kind = "mda"
+    world = build_world(cfg)
+    states = []
+
+    def kept(*args):
+        states.append(SelectorState(*args))
+        return states[-1]
+
+    monkeypatch.setattr(engine, "SelectorState", kept)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, 1, world=world)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = snapshot.filter_traces([tracemalloc.Filter(True, selectors.__file__)])
+    nbytes = sum(stat.size for stat in held.statistics("filename"))
+    assert [state.current_round for state in states] == [999]
+    assert nbytes <= cfg.selector.mda.memory_length * 2000 + 40 * 1000
 
 
 def test_build_world_closes_the_trace_file(tmp_path):

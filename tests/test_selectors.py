@@ -67,7 +67,7 @@ def test_update_history_stores_an_ndarray_ping_like_a_list():
         update_history(from_list, r, r * 10.0, ping, failed)
         update_history(from_array, r, r * 10.0, array, failed)
         array[:] = ~array   # the state keeps a copy, not the caller's array
-        row_list, row_array = from_list._rows[r], from_array._rows[r]
+        row_list, row_array = from_list.ping(r), from_array.ping(r)
         assert row_array.dtype == row_list.dtype == np.bool_
         assert row_array.tobytes() == row_list.tobytes() == np.array(ping).tobytes()
         assert from_array.available_clients(r) == from_list.available_clients(r)
@@ -97,6 +97,56 @@ def test_update_history_guards():
     update_history(offline, 0, 0.0, [True, False], [])
     with pytest.raises(ValueError):  # the failed client was not even available
         update_history(offline, 1, 1.0, [True, True], [1])
+
+
+@pytest.mark.parametrize("seed", [31, 32])
+def test_a_ring_of_m_pings_weighs_and_draws_as_the_whole_history(seed):
+    # The state holds only the last m pings; MDA must weigh and draw as the
+    # list loops do over every ping, before m rounds exist and long after the
+    # first pings were overwritten.
+    rng = np.random.default_rng(seed)
+    for _ in range(12):
+        m = int(rng.integers(2, 21))
+        num_clients = int(rng.integers(1, 12))
+        cfg = MdaConfig(memory_length=m, default_weight=float(rng.uniform(0.01, 1.0)))
+        ring = SelectorState(num_clients, m)
+        ref = oracles.ListState([([], [])] * num_clients, [])
+        failed = []
+        for r in range(int(rng.integers(m + 1, 3 * m + 3))):
+            ping = (rng.random(num_clients) < 0.7).tolist()
+            now = 10.0 * r + float(rng.uniform(0.0, 5.0))
+            update_history(ring, r, now, ping, failed)
+            for c in range(num_clients):
+                ref.availability[c].append(ping[c])
+            for c in failed:
+                ref.failures[c].append(r - 1)
+            ref.round_start_times.append(now)
+            pool = ring.available_clients(r)
+            assert pool == [c for c in range(num_clients) if ping[c]]
+            if pool:
+                weights = oracles.loop_mda_weights(ref, pool, cfg)
+                assert mda_weights(ring, pool, cfg) == weights
+                n = int(rng.integers(1, num_clients + 1))
+                got_rng, ref_rng = np.random.default_rng(r), np.random.default_rng(r)
+                picks = select_mda(pool, n, ring, cfg, got_rng)
+                assert picks == sorted(oracles.loop_weighted_sample(pool, weights, n, ref_rng))
+                assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+            failed = [c for c in pool if rng.random() < 0.3]
+
+
+def test_a_state_answers_only_for_the_rounds_it_holds():
+    state = SelectorState(2, 3)
+    for r in range(5):
+        update_history(state, r, r * 10.0, [True, r % 2 == 0], [])
+    assert [state.available_clients(r) for r in (2, 3, 4)] == [[0, 1], [0], [0, 1]]
+    for r in (-1, 0, 1, 5):   # overwritten, or not begun
+        with pytest.raises(ValueError, match="not held"):
+            state.available_clients(r)
+    assert len(mda_weights(state, [0, 1], MdaConfig(memory_length=3))) == 2
+    with pytest.raises(ValueError, match="exceeds the 3 pings"):
+        mda_weights(state, [0, 1], MdaConfig(memory_length=4))
+    with pytest.raises(ValueError, match="window"):
+        SelectorState(2, 1)   # the failure check reads the ping before the current one
 
 
 # ----------------------------------------------------------------- MDA weights
