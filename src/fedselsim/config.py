@@ -218,6 +218,11 @@ class SeedsCfg:
         for name in ("scenario_seed", "partition_seed"):
             _require(getattr(self, name) >= 0, f"{name} must be >= 0")
         _require(all(s >= 0 for s in self.run_seeds), "run_seeds entries must be >= 0")
+        for i, seed in enumerate(self.run_seeds):
+            # A repeated seed would run the same experiment twice and count it twice.
+            _require(
+                seed not in self.run_seeds[:i], f"run_seeds must be distinct: {seed} is repeated"
+            )
 
 
 @dataclass

@@ -72,7 +72,7 @@ class World:
     traces: list[AvailabilityTrace]
     rows: list[tuple[np.ndarray, np.ndarray]]
     test: tuple[np.ndarray, np.ndarray]
-    round_times: list[float]
+    round_times: np.ndarray
     horizon_s: float
     digest: str
 
@@ -229,11 +229,10 @@ def build_world(cfg: ExperimentConfig) -> World:
         log.warning("%d of %d clients received empty data shards", empty, num_clients)
 
     size = learning.model_size_bytes(task.classes_k, task.features_d)
-    # Python floats: selectors index them, and reports repr them.
-    round_times = round_time(caps, sizes, size, task.epochs).tolist()
+    round_times = round_time(caps, sizes, size, task.epochs)
 
     if cfg.round.strict_availability_failures:
-        slowest = max(range(num_clients), key=lambda c: round_times[c])
+        slowest = int(np.argmax(round_times))
         if cfg.round.timeout_s <= round_times[slowest]:
             raise ConfigError(
                 f"round.timeout_s={cfg.round.timeout_s} must exceed the slowest "
@@ -274,23 +273,20 @@ def run_round(
     timeout = cfg.round.timeout_s
     task = cfg.task
     pool = state.available_clients(round_index)
-    selected: list[int] = select(pool, cfg.round.clients_per_round, state, rng) if pool else []
-    if not selected:
+    selected = select(pool, cfg.round.clients_per_round, state, rng) if len(pool) else pool
+    if len(selected) == 0:
         # Nothing eligible: the server waits out its deadline.
         outcome = RoundOutcome(round_index, clock, timeout, (), (), True, None)
         return outcome, model, clock + timeout
 
     # Too slow outright, or the first flip after the start lands in (clock, clock + t_c].
-    failed = tuple(
-        c
-        for c in selected
-        if world.round_times[c] > timeout
-        or next_flip(world.traces[c], clock) <= clock + world.round_times[c]
-    )
-    duration = timeout if failed else max(world.round_times[c] for c in selected)
-
-    failed_set = set(failed)
-    survivors = [c for c in selected if c not in failed_set]
+    times = world.round_times[selected]
+    next_flips = np.array([next_flip(world.traces[c], clock) for c in selected])
+    lost = (times > timeout) | (next_flips <= clock + times)
+    duration = timeout if lost.any() else float(times.max())
+    # The outcome holds Python ints, which the reports print as they are.
+    failed = selected[lost].tolist()
+    survivors = selected[~lost].tolist()
     if survivors:
         deltas = []
         for c in survivors:
@@ -310,7 +306,7 @@ def run_round(
 
     accuracy = _accuracy(world, model, task.classes_k) if eval_now else None
     outcome = RoundOutcome(
-        round_index, clock, duration, tuple(selected), failed, False, accuracy
+        round_index, clock, duration, tuple(selected.tolist()), tuple(failed), False, accuracy
     )
     return outcome, model, clock + duration
 

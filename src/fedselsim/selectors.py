@@ -1,10 +1,15 @@
 """The five client-selection strategies and the shared history bookkeeping.
 
 All selectors share one calling shape: they see the currently available pool,
-the per-round budget n, the server-side SelectorState, and an owned RNG, and
-return a sorted list of selected client indices. An empty return means the
-round must be skipped (e.g. FedCS found no eligible client). Their parameter
-classes are config sections, defined and validated in `config`.
+the per-round budget n, the server-side SelectorState, and an owned RNG. A
+pool is an ascending int64 array of client indices, and every selector returns
+one. An empty return means the round must be skipped (e.g. FedCS found no
+eligible client). Their parameter classes are config sections, defined and
+validated in `config`.
+
+Client sets are sorted with kind="stable". Any kind gives the same ascending
+indices, but the default kind's SIMD code adds about 0.25 MiB of resident
+memory the first time it runs, which no other step of a study pays.
 """
 
 from __future__ import annotations
@@ -61,9 +66,9 @@ class SelectorState:
             )
         return self._pings[round_index % self.window]
 
-    def available_clients(self, round_index: int) -> list[int]:
+    def available_clients(self, round_index: int) -> np.ndarray:
         """Ascending indices of the clients available when round round_index began."""
-        return np.flatnonzero(self.ping(round_index)).tolist()
+        return np.flatnonzero(self.ping(round_index))
 
 
 def update_history(
@@ -108,7 +113,7 @@ def update_history(
     state.round_start_times.append(float(now))
 
 
-def _raw_weights(state: SelectorState, candidates: Sequence[int], cfg: MdaConfig) -> np.ndarray:
+def _raw_weights(state: SelectorState, candidates: np.ndarray, cfg: MdaConfig) -> np.ndarray:
     """Pre-normalization MDA weights: windowed availability x failure recency penalty.
 
     The availability factor is the fraction of elapsed time over the last m
@@ -120,18 +125,17 @@ def _raw_weights(state: SelectorState, candidates: Sequence[int], cfg: MdaConfig
     # Every sum below adds left to right, as a plain Python loop does, so the
     # weights equal those of the list-based reference in tests/oracles.py bit
     # for bit (np.sum's pairwise order would change the low bits).
-    cands = np.asarray(candidates, dtype=np.int64)
     m = cfg.memory_length
     r = state.current_round
     if r + 1 < m:
-        raw = np.full(len(cands), cfg.default_weight)
+        raw = np.full(len(candidates), cfg.default_weight)
     else:
         if m > state.window:
             raise ValueError(f"memory_length {m} exceeds the {state.window} pings the state holds")
         times = state.round_start_times[-m:]
         pings, w = state._pings, state.window
-        window = [pings[i % w][cands] for i in range(r - m + 1, r + 1)]   # oldest first
-        up = np.zeros(len(cands))
+        window = [pings[i % w][candidates] for i in range(r - m + 1, r + 1)]   # oldest first
+        up = np.zeros(len(candidates))
         for k in range(m - 1):
             # an inter-round interval counts only if available at BOTH endpoints
             up += np.where(window[k] & window[k + 1], times[k + 1] - times[k], 0.0)
@@ -146,35 +150,35 @@ def _raw_weights(state: SelectorState, candidates: Sequence[int], cfg: MdaConfig
             minlength=state.num_clients,
         )
         max_pen = np.cumsum(1.0 / (r - np.arange(r)))[-1]
-        raw = raw * (1.0 - pen[cands] / max_pen)
+        raw = raw * (1.0 - pen[candidates] / max_pen)
     return raw
 
 
-def mda_weights(state: SelectorState, candidates: Sequence[int], cfg: MdaConfig) -> list[float]:
+def mda_weights(state: SelectorState, candidates: np.ndarray, cfg: MdaConfig) -> np.ndarray:
     """Normalized MDA weights over the candidate set (sums to 1).
 
     All-zero raw weights fall back to uniform — otherwise selection would stall.
     """
-    if not candidates:
+    if len(candidates) == 0:
         raise ValueError("mda_weights needs a non-empty candidate set")
     if state.current_round < 0:
         raise ValueError("no round history recorded yet")
     raw = _raw_weights(state, candidates, cfg)
     total = np.cumsum(raw)[-1]   # sequential, unlike np.sum
     if total <= 0.0:
-        return [1.0 / len(candidates)] * len(candidates)
-    return (raw / total).tolist()
+        return np.full(len(candidates), 1.0 / len(candidates))
+    return raw / total
 
 
 def weighted_sample_without_replacement(
-    candidates: Sequence[int], weights: Sequence[float], n: int, rng: np.random.Generator
-) -> list[int]:
+    candidates: np.ndarray, weights: np.ndarray, n: int, rng: np.random.Generator
+) -> np.ndarray:
     """Sequential weighted draws, renormalizing over the remainder after each pick.
 
     Returns min(n, len(candidates)) picks in draw order. If positive weight runs
     out before the budget, the rest are drawn uniformly from what remains.
     """
-    if not candidates:
+    if len(candidates) == 0:
         raise ValueError("cannot sample from an empty candidate set")
     if len(weights) != len(candidates):
         raise ValueError(f"{len(candidates)} candidates but {len(weights)} weights")
@@ -197,48 +201,44 @@ def weighted_sample_without_replacement(
             idx = int(np.flatnonzero(w > 0)[-1])
         taken.append(idx)
         w[idx] = 0.0
-    picks = [candidates[j] for j in taken]
-    if len(picks) < budget:
-        skipped = set(taken)
-        remaining = [c for j, c in enumerate(candidates) if j not in skipped]
-        while len(picks) < budget:
-            picks.append(remaining.pop(int(rng.integers(len(remaining)))))
-    return picks
+    if len(taken) < budget:
+        remaining = np.delete(np.arange(len(candidates)), taken).tolist()
+        while len(taken) < budget:
+            taken.append(remaining.pop(int(rng.integers(len(remaining)))))
+    return candidates[taken]
 
 
-def select_random(available: Sequence[int], n: int, rng: np.random.Generator) -> list[int]:
+def select_random(available: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample without replacement of min(n, |available|) clients."""
-    if not available:
+    if len(available) == 0:
         raise ValueError("empty availability pool")
-    k = min(n, len(available))
-    picks = rng.permutation(len(available))[:k]
-    return sorted(available[int(i)] for i in picks)
+    return np.sort(available[rng.permutation(len(available))[:n]], kind="stable")
 
 
 def select_fedcs(
-    available: Sequence[int],
+    available: np.ndarray,
     n: int,
     cfg: FedcsConfig,
-    round_times: Sequence[float],
+    round_times: np.ndarray,
     rng: np.random.Generator,
-) -> list[int]:
+) -> np.ndarray:
     """Uniform sample among clients whose estimated round time meets the deadline.
 
     filter_first drops ineligible clients, then samples n (rounds stay full);
     sample_first draws n from the whole pool, then drops, and can under-fill.
     """
-    if not available:
+    if len(available) == 0:
         raise ValueError("empty availability pool")
     if cfg.order == "filter_first":
-        eligible = [c for c in available if round_times[c] <= cfg.threshold_s]
-        if not eligible:
-            return []
+        eligible = available[round_times[available] <= cfg.threshold_s]
+        if len(eligible) == 0:
+            return eligible
         return select_random(eligible, n, rng)
     picked = select_random(available, n, rng)
-    return [c for c in picked if round_times[c] <= cfg.threshold_s]
+    return picked[round_times[picked] <= cfg.threshold_s]
 
 
-def assign_tiers(round_times: Sequence[float], num_tiers: int) -> list[int]:
+def assign_tiers(round_times: np.ndarray, num_tiers: int) -> np.ndarray:
     """Per-client tier index, 0 = fastest; contiguous near-equal speed bands.
 
     Clients are sorted by round time (index breaks ties); when the count does
@@ -249,15 +249,11 @@ def assign_tiers(round_times: Sequence[float], num_tiers: int) -> list[int]:
         raise ValueError(f"num_tiers must be >= 1, got {num_tiers}")
     if num_tiers > n:
         raise ValueError(f"num_tiers={num_tiers} exceeds the {n} clients")
-    order = sorted(range(n), key=lambda c: (round_times[c], c))
     base, rem = divmod(n, num_tiers)
-    tiers = [0] * n
-    pos = 0
-    for k in range(num_tiers):
-        size = base + (1 if k < rem else 0)
-        for c in order[pos : pos + size]:
-            tiers[c] = k
-        pos += size
+    sizes = base + (np.arange(num_tiers) < rem)
+    tiers = np.empty(n, dtype=np.int64)
+    # The stable sort breaks equal round times by index.
+    tiers[np.argsort(round_times, kind="stable")] = np.repeat(np.arange(num_tiers), sizes)
     return tiers
 
 
@@ -272,7 +268,7 @@ def tier_probabilities(num_tiers: int, ratio: float) -> list[float]:
     return [x / total for x in raw]
 
 
-def _draw_tier(tiers_present: list[int], probs: Sequence[float], rng: np.random.Generator) -> int:
+def _draw_tier(tiers_present: np.ndarray, probs: Sequence[float], rng: np.random.Generator) -> int:
     # Restrict to tiers that actually have available clients, renormalized.
     mass = sum(probs[k] for k in tiers_present)
     x = rng.random() * mass
@@ -285,61 +281,62 @@ def _draw_tier(tiers_present: list[int], probs: Sequence[float], rng: np.random.
 
 
 def _tier_members(
-    available: Sequence[int], tiers: Sequence[int], probs: Sequence[float], rng: np.random.Generator
-) -> list[int]:
+    available: np.ndarray, tiers: np.ndarray, probs: Sequence[float], rng: np.random.Generator
+) -> np.ndarray:
     """Ascending members of one tier drawn over the tiers present in the pool."""
-    if not available:
+    if len(available) == 0:
         raise ValueError("empty availability pool")
-    tier = _draw_tier(sorted({tiers[c] for c in available}), probs, rng)
-    return sorted(c for c in available if tiers[c] == tier)
+    pool_tiers = tiers[available]
+    tier = _draw_tier(np.flatnonzero(np.bincount(pool_tiers)), probs, rng)
+    return np.sort(available[pool_tiers == tier], kind="stable")
 
 
 def select_tifl(
-    available: Sequence[int],
+    available: np.ndarray,
     n: int,
-    tiers: Sequence[int],
+    tiers: np.ndarray,
     probs: Sequence[float],
     rng: np.random.Generator,
-) -> list[int]:
+) -> np.ndarray:
     """Draw one tier (renormalized over non-empty tiers), then sample uniformly in it."""
     return select_random(_tier_members(available, tiers, probs, rng), n, rng)
 
 
 def select_tifl_mda(
-    available: Sequence[int],
+    available: np.ndarray,
     n: int,
-    tiers: Sequence[int],
+    tiers: np.ndarray,
     probs: Sequence[float],
     state: SelectorState,
     cfg: MdaConfig,
     rng: np.random.Generator,
-) -> list[int]:
+) -> np.ndarray:
     """TiFL's tier draw with MDA weights replacing the uniform in-tier sample."""
     return select_mda(_tier_members(available, tiers, probs, rng), n, state, cfg, rng)
 
 
 def select_mda(
-    available: Sequence[int],
+    available: np.ndarray,
     n: int,
     state: SelectorState,
     cfg: MdaConfig,
     rng: np.random.Generator,
-) -> list[int]:
+) -> np.ndarray:
     """Weighted draw over the whole available pool using MDA weights."""
-    if not available:
+    if len(available) == 0:
         raise ValueError("empty availability pool")
-    pool = sorted(available)
+    pool = np.sort(available, kind="stable")
     weights = mda_weights(state, pool, cfg)
-    return sorted(weighted_sample_without_replacement(pool, weights, n, rng))
+    return np.sort(weighted_sample_without_replacement(pool, weights, n, rng), kind="stable")
 
 
-SelectFn = Callable[[Sequence[int], int, SelectorState, np.random.Generator], list[int]]
+SelectFn = Callable[[np.ndarray, int, SelectorState, np.random.Generator], np.ndarray]
 
 
 def make_selector(
     kind: str,
     *,
-    round_times: Sequence[float] | None = None,
+    round_times: np.ndarray | None = None,
     fedcs: FedcsConfig = FedcsConfig(),
     tifl: TiflConfig = TiflConfig(),
     mda: MdaConfig = MdaConfig(),

@@ -180,7 +180,7 @@ def _up_times(table: TraceTable, rows: np.ndarray, counts: np.ndarray, width: in
     return segments.cumsum(axis=1, out=segments)[:, -1]
 
 
-def rank_traces(table: TraceTable) -> list[int]:
+def rank_traces(table: TraceTable) -> np.ndarray:
     """Indices sorted worst-to-best: fraction ascending, then more flips first.
 
     Flappier traces rank worse on equal fraction; index breaks remaining ties.
@@ -188,7 +188,7 @@ def rank_traces(table: TraceTable) -> list[int]:
     if not len(table):
         raise ValueError("cannot rank an empty trace table")
     fraction, rate = _table_stats(table)
-    return np.lexsort((np.arange(len(table)), -rate, fraction)).tolist()
+    return np.lexsort((np.arange(len(table)), -rate, fraction))
 
 
 def _blocks(n: int) -> list[tuple[int, int]]:
@@ -199,19 +199,18 @@ def _blocks(n: int) -> list[tuple[int, int]]:
 
 
 def build_scenario(
-    ranked: Sequence, kind: str, num_clients: int, mix: tuple[float, ...], rng_seed
-) -> list:
-    """Draw per-client entries from the worst/middle/best thirds of a ranked pool.
+    ranked: np.ndarray, kind: str, num_clients: int, mix: tuple[float, ...], rng_seed
+) -> np.ndarray:
+    """Draw per-client trace indices from the worst/middle/best thirds of a ranked pool.
 
-    `ranked` is the pool in rank order: its traces, or (as build_world passes
-    it) their indices into a TraceTable; the picked entries come back as they
-    are. The major mix share comes from the first block for "low", the middle
-    block for "average", the last block for "high". Counts: major =
-    round(f * num_clients); the rest is split across the two minor blocks in
-    proportion to their fractions (evenly when equal), integer remainder going
-    to the later block. Draws are uniform without replacement inside each
-    block. kind, num_clients and mix come from an already validated
-    `config.ScenarioCfg`.
+    `ranked` holds the pool's trace indices in rank order (`rank_traces`); the
+    picked indices come back as one int64 array. The major mix share comes
+    from the first block for "low", the middle block for "average", the last
+    block for "high". Counts: major = round(f * num_clients); the rest is
+    split across the two minor blocks in proportion to their fractions (evenly
+    when equal), integer remainder going to the later block. Draws are uniform
+    without replacement inside each block. kind, num_clients and mix come from
+    an already validated `config.ScenarioCfg`.
     """
     if len(ranked) < num_clients:
         raise ConfigError(
@@ -243,9 +242,8 @@ def build_scenario(
                 f"scenario block [{start},{end}) holds {size} traces "
                 f"but the mix requires {count}"
             )
-        picks = rng.permutation(size)[:count]
-        assigned.extend(ranked[start + int(i)] for i in picks)
-    return assigned
+        assigned.append(ranked[start:end][rng.permutation(size)[:count]])
+    return np.concatenate(assigned)
 
 
 def _block_width(params: TraceClassParams, horizon_s: float) -> int:

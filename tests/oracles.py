@@ -298,7 +298,7 @@ def parent_select_tifl(available, n, tiers, probs, rng):
         raise ValueError("empty availability pool")
     grouped = _group_by_tier(available, tiers)
     tier = _parent_draw_tier(sorted(grouped), probs, rng)
-    return selectors.select_random(sorted(grouped[tier]), n, rng)
+    return selectors.select_random(np.array(sorted(grouped[tier])), n, rng).tolist()
 
 
 def parent_select_tifl_mda(available, n, tiers, probs, state, cfg, rng):
@@ -307,9 +307,9 @@ def parent_select_tifl_mda(available, n, tiers, probs, state, cfg, rng):
         raise ValueError("empty availability pool")
     grouped = _group_by_tier(available, tiers)
     tier = _parent_draw_tier(sorted(grouped), probs, rng)
-    members = sorted(grouped[tier])
+    members = np.array(sorted(grouped[tier]))
     weights = selectors.mda_weights(state, members, cfg)
-    return sorted(selectors.weighted_sample_without_replacement(members, weights, n, rng))
+    return sorted(selectors.weighted_sample_without_replacement(members, weights, n, rng).tolist())
 
 
 # The one-draw-per-flip trace generator that the package's block-drawn one

@@ -134,7 +134,7 @@ def test_criterion_02_tier_geometry(capsys):
     prob_dev = max(abs(a - b) for a, b in zip(probs, expected))
     tiers = assign_tiers(np.linspace(1.0, 20.0, 100).tolist(), 5)
     rng = np.random.default_rng(7)
-    pool = list(range(100))
+    pool = np.arange(100)
     hits = sum(
         tiers[select_tifl(pool, 1, tiers, probs, rng)[0]] == 0 for _ in range(100_000)
     )

@@ -452,12 +452,14 @@ def _expected_pool_flips(cfg):
 
 
 def test_config_loader_matches_the_parent_loader():
-    # Two differences are allowed: the package takes only finite numbers at
-    # float keys, and it rejects a synthetic pool expected to hold more than
-    # MAX_POOL_FLIPS flips. Otherwise both accept the same mappings, with the
-    # same to_dict(), and reject the rest.
+    # Three differences are allowed: the package takes only finite numbers at
+    # float keys, it rejects a synthetic pool expected to hold more than
+    # MAX_POOL_FLIPS flips, and it rejects a repeated run seed. Otherwise both
+    # accept the same mappings, with the same to_dict(), and reject the rest.
     rnd = random.Random(20261018)
-    counts = {"accepted": 0, "rejected": 0, "non-finite": 0, "too many flips": 0}
+    counts = {
+        "accepted": 0, "rejected": 0, "non-finite": 0, "too many flips": 0, "repeated seed": 0
+    }
     for _ in range(20_000):
         data = random_config(rnd)
         expected, _ = _outcome(oracles.parent_config_from_dict, data)
@@ -472,11 +474,16 @@ def test_config_loader_matches_the_parent_loader():
                 assert _expected_pool_flips(parent) > MAX_POOL_FLIPS, message
                 counts["too many flips"] += 1
                 continue
+            if message.startswith("seeds.run_seeds must be distinct: "):
+                seeds = oracles.parent_config_from_dict(data).seeds.run_seeds
+                assert len(set(seeds)) < len(seeds), message
+                counts["repeated seed"] += 1
+                continue
             path, finite, _ = message.partition(" must be finite, got ")
             assert finite and FLOAT_KEY.fullmatch(path), message
             assert not _is_finite(_at(data, path)), message
             counts["non-finite"] += 1
-    assert counts["non-finite"] >= 1 and counts["too many flips"] >= 1, counts
+    assert min(counts["non-finite"], counts["too many flips"], counts["repeated seed"]) >= 1, counts
     assert min(counts["accepted"], counts["rejected"]) >= 2_000, counts
 
 
@@ -491,7 +498,8 @@ def test_load_config_reads_yaml(tmp_path):
 def test_the_process_pool_and_yaml_are_imported_only_when_used(tmp_path):
     # A run with one job forks no worker, and a config built from a mapping
     # reads no YAML, so importing the package loads neither; load_config then
-    # brings in the parser.
+    # brings in the parser. A one-job study over every selector loads neither
+    # the process pool nor numpy.ma (which np.unique imports on first use).
     script = textwrap.dedent(
         """
         import sys
@@ -500,6 +508,10 @@ def test_the_process_pool_and_yaml_are_imported_only_when_used(tmp_path):
         print([name for name in lazy if name in sys.modules])
         cfg = fedselsim.config.load_config(sys.argv[1])
         print("yaml" in sys.modules, cfg.population.num_clients)
+        kinds = list(fedselsim.config.SELECTOR_KINDS)
+        fedselsim.engine.compare_selectors(cfg, kinds, jobs=1)
+        unused = ("numpy.ma", "multiprocessing", "concurrent.futures")
+        print(len(kinds), [name for name in unused if name in sys.modules])
         """
     )
     src = str(Path(fedselsim.__file__).resolve().parents[1])
@@ -507,7 +519,7 @@ def test_the_process_pool_and_yaml_are_imported_only_when_used(tmp_path):
         [sys.executable, "-c", script, write_cfg(tmp_path)],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     )
-    assert done.stdout.splitlines() == ["[]", "True 12"]
+    assert done.stdout.splitlines() == ["[]", "True 12", "5 []"]
 
 
 def test_shipped_configs_load_and_example_holds_every_default():
@@ -1016,6 +1028,10 @@ def test_cli_overflowing_round_time_is_one_error_line(tmp_path, capsys):
             "scenario:\n  kind: low\n  synthetic:\n    pool_size: 30\n"
             "population:\n  num_clients: 30\nround:\n  num_rounds: 3\n",
             "error: scenario block [0,10) holds 10 traces but the mix requires 18",
+        ),
+        (
+            "seeds:\n  run_seeds: [1, 2, 1]\n",
+            "error: seeds.run_seeds must be distinct: 1 is repeated",
         ),
     ],
 )

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fedselsim import engine, learning, selectors
-from fedselsim.config import ExperimentConfig
+from fedselsim.config import ExperimentConfig, FedcsConfig
 from fedselsim.engine import (
     ROUND_LOG_COLUMNS,
     ExperimentReport,
@@ -41,7 +41,7 @@ def tiny_world(traces, round_times, horizon=1_000_000.0):
         traces=list(traces),
         rows=[(np.empty((0, 3)), np.empty(0, dtype=np.int64)) for _ in traces],
         test=(dataset.features[test], dataset.labels[test]),
-        round_times=list(round_times),
+        round_times=np.array(round_times, float),
         horizon_s=horizon,
         digest="tiny",
     )
@@ -66,7 +66,7 @@ def primed_state(world, clock=0.0):
 
 
 def take_all(pool, n, state, rng):
-    return sorted(pool)[:n]
+    return np.sort(pool)[:n]
 
 
 MODEL2 = learning.init_params(2, 3)
@@ -265,6 +265,27 @@ def test_run_experiment_outcome_invariants():
         saw_failure = saw_failure or bool(o.failed)
         previous_end = o.start_s + o.duration_s
     assert saw_failure  # the low fixture must actually exercise failures
+
+
+def test_round_outcomes_hold_python_scalars():
+    # Selectors work on numpy arrays; the outcome must hold plain ints and
+    # floats, or an np.int64(...) or np.float64(...) repr reaches the reports.
+    cfg = small_cfg(num_rounds=20, kind="low")
+    world = build_world(cfg)
+    cells = [("random", "filter_first"), ("fedcs", "filter_first"), ("fedcs", "sample_first"),
+             ("tifl", "filter_first"), ("mda", "filter_first"), ("tifl_mda", "filter_first")]
+    outcomes = []
+    for kind, order in cells:
+        cell = replace_selector(cfg, kind)
+        cell.selector.fedcs = FedcsConfig(order=order)
+        rounds = run_experiment(cell, 1, world=world).rounds
+        assert any(o.selected for o in rounds), (kind, order)
+        outcomes += rounds
+    assert any(o.failed for o in outcomes)
+    for o in outcomes:
+        assert all(type(c) is int for c in o.selected + o.failed), o
+        assert type(o.start_s) is float and type(o.duration_s) is float, o
+        assert o.accuracy is None or type(o.accuracy) is float, o
 
 
 def test_run_experiment_metrics_recomputed_from_log():

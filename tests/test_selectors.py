@@ -70,7 +70,7 @@ def test_update_history_stores_an_ndarray_ping_like_a_list():
         row_list, row_array = from_list.ping(r), from_array.ping(r)
         assert row_array.dtype == row_list.dtype == np.bool_
         assert row_array.tobytes() == row_list.tobytes() == np.array(ping).tobytes()
-        assert from_array.available_clients(r) == from_list.available_clients(r)
+        assert from_array.available_clients(r).tolist() == from_list.available_clients(r).tolist()
     for c in range(9):
         assert client_failures(from_array, c) == client_failures(from_list, c)
 
@@ -122,23 +122,24 @@ def test_a_ring_of_m_pings_weighs_and_draws_as_the_whole_history(seed):
                 ref.failures[c].append(r - 1)
             ref.round_start_times.append(now)
             pool = ring.available_clients(r)
-            assert pool == [c for c in range(num_clients) if ping[c]]
-            if pool:
-                weights = oracles.loop_mda_weights(ref, pool, cfg)
-                assert mda_weights(ring, pool, cfg) == weights
+            clients = pool.tolist()
+            assert clients == [c for c in range(num_clients) if ping[c]]
+            if clients:
+                weights = oracles.loop_mda_weights(ref, clients, cfg)
+                assert mda_weights(ring, pool, cfg).tolist() == weights
                 n = int(rng.integers(1, num_clients + 1))
                 got_rng, ref_rng = np.random.default_rng(r), np.random.default_rng(r)
-                picks = select_mda(pool, n, ring, cfg, got_rng)
-                assert picks == sorted(oracles.loop_weighted_sample(pool, weights, n, ref_rng))
+                picks = select_mda(pool, n, ring, cfg, got_rng).tolist()
+                assert picks == sorted(oracles.loop_weighted_sample(clients, weights, n, ref_rng))
                 assert got_rng.bit_generator.state == ref_rng.bit_generator.state
-            failed = [c for c in pool if rng.random() < 0.3]
+            failed = [c for c in clients if rng.random() < 0.3]
 
 
 def test_a_state_answers_only_for_the_rounds_it_holds():
     state = SelectorState(2, 3)
     for r in range(5):
         update_history(state, r, r * 10.0, [True, r % 2 == 0], [])
-    assert [state.available_clients(r) for r in (2, 3, 4)] == [[0, 1], [0], [0, 1]]
+    assert [state.available_clients(r).tolist() for r in (2, 3, 4)] == [[0, 1], [0], [0, 1]]
     for r in (-1, 0, 1, 5):   # overwritten, or not begun
         with pytest.raises(ValueError, match="not held"):
             state.available_clients(r)
@@ -242,7 +243,7 @@ def test_mda_all_zero_falls_back_to_uniform():
     )
     assert mda_raw_weight(state, 0, cfg) == 0.0
     assert mda_raw_weight(state, 1, cfg) == 0.0
-    assert mda_weights(state, [0, 1], cfg) == [0.5, 0.5]
+    assert mda_weights(state, np.array([0, 1]), cfg).tolist() == [0.5, 0.5]
 
 
 def test_mda_weights_argument_guards():
@@ -266,20 +267,21 @@ def test_mda_config_validation():
 
 def test_weighted_sample_covers_all_when_budget_large():
     rng = np.random.default_rng(1)
-    picks = weighted_sample_without_replacement([4, 7, 9], [0.2, 0.3, 0.5], 10, rng)
-    assert sorted(picks) == [4, 7, 9]
+    picks = weighted_sample_without_replacement(np.array([4, 7, 9]), [0.2, 0.3, 0.5], 10, rng)
+    assert sorted(picks.tolist()) == [4, 7, 9]
 
 
 def test_weighted_sample_unit_weight():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        assert weighted_sample_without_replacement([3, 5, 8], [1.0, 0.0, 0.0], 1, rng) == [3]
+        picks = weighted_sample_without_replacement(np.array([3, 5, 8]), [1.0, 0.0, 0.0], 1, rng)
+        assert picks.tolist() == [3]
 
 
 def test_weighted_sample_first_pick_frequency():
     rng = np.random.default_rng(1234)
     hits = sum(
-        weighted_sample_without_replacement([0, 1], [0.75, 0.25], 1, rng) == [0]
+        weighted_sample_without_replacement(np.array([0, 1]), [0.75, 0.25], 1, rng).tolist() == [0]
         for _ in range(10_000)
     )
     assert hits / 10_000 == pytest.approx(0.75, abs=0.02)
@@ -288,18 +290,18 @@ def test_weighted_sample_first_pick_frequency():
 def test_weighted_sample_zero_weight_exhaustion():
     # positive mass runs out after one pick; the rest come uniformly
     rng = np.random.default_rng(3)
-    picks = weighted_sample_without_replacement([1, 2, 3], [1.0, 0.0, 0.0], 3, rng)
+    picks = weighted_sample_without_replacement(np.array([1, 2, 3]), [1.0, 0.0, 0.0], 3, rng)
     assert picks[0] == 1
-    assert sorted(picks) == [1, 2, 3]
+    assert sorted(picks.tolist()) == [1, 2, 3]
 
 
 def test_weighted_sample_deterministic():
     a = weighted_sample_without_replacement(
-        list(range(20)), list(range(1, 21)), 6, np.random.default_rng(77)
-    )
+        np.arange(20), list(range(1, 21)), 6, np.random.default_rng(77)
+    ).tolist()
     b = weighted_sample_without_replacement(
-        list(range(20)), list(range(1, 21)), 6, np.random.default_rng(77)
-    )
+        np.arange(20), list(range(1, 21)), 6, np.random.default_rng(77)
+    ).tolist()
     assert a == b
     assert len(set(a)) == 6
 
@@ -336,13 +338,14 @@ def test_mda_weights_equal_list_loops_exactly(seed, count, num_clients):
         ref = oracles.ListState(per_client, starts)
         for c in range(len(per_client)):
             assert mda_raw_weight(state, c, cfg) == oracles.loop_mda_raw_weight(ref, c, cfg)
-        assert mda_weights(state, candidates, cfg) == oracles.loop_mda_weights(ref, candidates, cfg)
+        weights = mda_weights(state, np.array(candidates), cfg).tolist()
+        assert weights == oracles.loop_mda_weights(ref, candidates, cfg)
 
 
 def assert_same_draw(candidates, weights, n, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    picks = weighted_sample_without_replacement(candidates, weights, n, rng)
-    assert picks == oracles.loop_weighted_sample(candidates, weights, n, ref_rng)
+    picks = weighted_sample_without_replacement(np.array(candidates), np.array(weights), n, rng)
+    assert picks.tolist() == oracles.loop_weighted_sample(candidates, weights, n, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -351,7 +354,8 @@ def test_weighted_sample_equals_list_loop_exactly(seed, count, num_clients):
     rng = np.random.default_rng(seed + 100)
     instances = random_instances(seed, count, num_clients)
     for i, (per_client, starts, cfg, candidates) in enumerate(instances):
-        weights = mda_weights(state_from_history(per_client, starts), candidates, cfg)
+        state = state_from_history(per_client, starts)
+        weights = mda_weights(state, np.array(candidates), cfg).tolist()
         assert_same_draw(candidates, weights, int(rng.integers(1, len(candidates) + 3)), i)
 
 
@@ -388,7 +392,8 @@ class TopRng:
 
 def test_weighted_sample_round_off_falls_back_like_list_loop():
     weights = [0.1, 0.2, 0.0]
-    assert weighted_sample_without_replacement([4, 7, 9], weights, 1, TopRng()) == [7]
+    picks = weighted_sample_without_replacement(np.array([4, 7, 9]), weights, 1, TopRng())
+    assert picks.tolist() == [7]
     assert oracles.loop_weighted_sample([4, 7, 9], weights, 1, TopRng()) == [7]
 
 
@@ -400,8 +405,8 @@ def test_from_history_round_trips_and_guards():
     for c, (hist, fails) in enumerate(per_client):
         assert client_availability(state, c) == hist
         assert client_failures(state, c) == fails
-    assert state.available_clients(0) == [0]
-    assert state.available_clients(3) == [0, 1]
+    assert state.available_clients(0).tolist() == [0]
+    assert state.available_clients(3).tolist() == [0, 1]
     with pytest.raises(ValueError):  # history shorter than the round count
         state_from_history([([True], [])], [0.0, 1.0])
     with pytest.raises(ValueError):  # failure at the current round
@@ -414,14 +419,14 @@ def test_from_history_round_trips_and_guards():
 
 def test_select_random_identity_when_pool_equals_budget():
     rng = np.random.default_rng(5)
-    assert select_random([9, 3, 6], 3, rng) == [3, 6, 9]
+    assert select_random(np.array([9, 3, 6]), 3, rng).tolist() == [3, 6, 9]
 
 
 def test_select_random_uniform_frequency():
     rng = np.random.default_rng(99)
     counts = np.zeros(5)
     for _ in range(10_000):
-        counts[select_random([0, 1, 2, 3, 4], 1, rng)[0]] += 1
+        counts[select_random(np.arange(5), 1, rng)[0]] += 1
     assert counts / 10_000 == pytest.approx([0.2] * 5, abs=0.02)
 
 
@@ -429,7 +434,7 @@ def test_select_random_properties():
     rng = np.random.default_rng(6)
     pool = [2, 4, 8, 16, 32, 64]
     for _ in range(100):
-        picks = select_random(pool, 4, rng)
+        picks = select_random(np.array(pool), 4, rng).tolist()
         assert len(picks) == 4
         assert picks == sorted(picks)
         assert set(picks) <= set(pool)
@@ -445,7 +450,7 @@ def test_fedcs_filter_first_postcondition_sweep():
     cfg = FedcsConfig(threshold_s=20.0)
     for _ in range(1000):
         pool = sorted(rng.choice(30, size=12, replace=False).tolist())
-        picks = select_fedcs(pool, 5, cfg, times, rng)
+        picks = select_fedcs(np.array(pool), 5, cfg, np.array(times), rng).tolist()
         assert all(times[c] <= 20.0 for c in picks)
         assert set(picks) <= set(pool)
         eligible = sum(times[c] <= 20.0 for c in pool)
@@ -455,28 +460,28 @@ def test_fedcs_filter_first_postcondition_sweep():
 def test_fedcs_threshold_below_everyone_skips():
     rng = np.random.default_rng(8)
     cfg = FedcsConfig(threshold_s=0.5)
-    assert select_fedcs([0, 1, 2], 2, cfg, [1.0, 2.0, 3.0], rng) == []
+    assert select_fedcs(np.arange(3), 2, cfg, np.array([1.0, 2.0, 3.0]), rng).tolist() == []
 
 
 def test_fedcs_identity_filter_matches_random():
     # when nobody crosses the threshold the filter is a no-op, so the draw
     # sequence is bitwise the same as select_random's
-    times = [1.0, 2.0, 3.0, 4.0, 5.0]
+    times = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     cfg = FedcsConfig(threshold_s=100.0)
-    pool = [0, 1, 2, 3, 4]
+    pool = np.arange(5)
     for seed in range(50):
         a = select_fedcs(pool, 2, cfg, times, np.random.default_rng(seed))
         b = select_random(pool, 2, np.random.default_rng(seed))
-        assert a == b
+        assert a.tolist() == b.tolist()
 
 
 def test_fedcs_sample_first_can_underfill():
-    times = [1.0, 50.0, 1.0, 50.0, 1.0]
+    times = np.array([1.0, 50.0, 1.0, 50.0, 1.0])
     cfg = FedcsConfig(threshold_s=10.0, order="sample_first")
     rng = np.random.default_rng(9)
     sizes = set()
     for _ in range(200):
-        picks = select_fedcs([0, 1, 2, 3, 4], 3, cfg, times, rng)
+        picks = select_fedcs(np.arange(5), 3, cfg, times, rng)
         assert all(times[c] <= 10.0 for c in picks)
         sizes.add(len(picks))
     assert min(sizes) < 3  # under-filled at least once
@@ -499,18 +504,18 @@ def test_assign_tiers_even_split():
     times = [float(10 - i) for i in range(10)]  # speeds 10..1, fastest last
     tiers = assign_tiers(times, 5)
     # two clients per tier, tier 0 = fastest (smallest round time)
-    assert tiers == [4, 4, 3, 3, 2, 2, 1, 1, 0, 0]
+    assert tiers.tolist() == [4, 4, 3, 3, 2, 2, 1, 1, 0, 0]
 
 
 def test_assign_tiers_identical_speeds_index_tiebreak():
     tiers = assign_tiers([3.0] * 6, 3)
-    assert tiers == [0, 0, 1, 1, 2, 2]
+    assert tiers.tolist() == [0, 0, 1, 1, 2, 2]
 
 
 def test_assign_tiers_remainder_to_fastest():
     times = [float(i) for i in range(11)]
     tiers = assign_tiers(times, 5)
-    sizes = [tiers.count(k) for k in range(5)]
+    sizes = [tiers.tolist().count(k) for k in range(5)]
     assert sizes == [3, 2, 2, 2, 2]
 
 
@@ -555,7 +560,7 @@ def test_tifl_single_populated_tier_always_chosen():
     probs = tier_probabilities(3, 1.4)
     rng = np.random.default_rng(11)
     for _ in range(100):
-        picks = select_tifl([4, 5], 1, tiers, probs, rng)
+        picks = select_tifl(np.array([4, 5]), 1, np.array(tiers), probs, rng).tolist()
         assert picks and all(tiers[c] == 2 for c in picks)
 
 
@@ -566,7 +571,7 @@ def test_tifl_selection_stays_in_one_tier():
     probs = tier_probabilities(5, 1.4)
     for _ in range(1000):
         pool = sorted(rng.choice(40, size=15, replace=False).tolist())
-        picks = select_tifl(pool, 4, tiers, probs, rng)
+        picks = select_tifl(np.array(pool), 4, tiers, probs, rng)
         assert len({tiers[c] for c in picks}) == 1
         assert set(picks) <= set(pool)
 
@@ -576,7 +581,7 @@ def test_tifl_tier_zero_frequency():
     tiers = assign_tiers(times, 5)
     probs = tier_probabilities(5, 1.4)
     rng = np.random.default_rng(7)
-    pool = list(range(100))
+    pool = np.arange(100)
     hits = sum(tiers[select_tifl(pool, 1, tiers, probs, rng)[0]] == 0 for _ in range(100_000))
     assert hits / 100_000 == pytest.approx(0.3510, abs=0.01)
 
@@ -589,7 +594,7 @@ def test_tifl_empty_pool():
 # ------------------------------------------------------------- select_tifl_mda
 
 def test_tifl_mda_equal_histories_match_tifl_frequencies():
-    tiers = [0, 0, 0, 0]
+    tiers = np.zeros(4, dtype=np.int64)
     probs = [1.0]
     state = all_on_state(4, rounds=12)
     cfg = MdaConfig()
@@ -598,8 +603,8 @@ def test_tifl_mda_equal_histories_match_tifl_frequencies():
     rng_a = np.random.default_rng(14)
     rng_b = np.random.default_rng(15)
     for _ in range(10_000):
-        counts_mda[select_tifl_mda([0, 1, 2, 3], 1, tiers, probs, state, cfg, rng_a)[0]] += 1
-        counts_tifl[select_tifl([0, 1, 2, 3], 1, tiers, probs, rng_b)[0]] += 1
+        counts_mda[select_tifl_mda(np.arange(4), 1, tiers, probs, state, cfg, rng_a)[0]] += 1
+        counts_tifl[select_tifl(np.arange(4), 1, tiers, probs, rng_b)[0]] += 1
     assert counts_mda / 10_000 == pytest.approx([0.25] * 4, abs=0.02)
     assert counts_tifl / 10_000 == pytest.approx([0.25] * 4, abs=0.02)
 
@@ -612,19 +617,19 @@ def test_tifl_mda_penalizes_recent_failures():
         update_history(state, r, r * 10.0, [True] * 4, [0] if r <= 3 else [])
     cfg = MdaConfig()
     rng = np.random.default_rng(5)
-    counts = np.zeros(4)
+    counts, tiers = np.zeros(4), np.zeros(4, dtype=np.int64)
     for _ in range(10_000):
-        counts[select_tifl_mda([0, 1, 2, 3], 1, [0] * 4, [1.0], state, cfg, rng)[0]] += 1
+        counts[select_tifl_mda(np.arange(4), 1, tiers, [1.0], state, cfg, rng)[0]] += 1
     assert counts[0] < counts[1:].min()
 
 
 def test_tifl_mda_single_available_client():
     state = all_on_state(6, rounds=3)
     picks = select_tifl_mda(
-        [5], 4, [0, 0, 0, 1, 1, 1], tier_probabilities(2, 1.4), state, MdaConfig(),
-        np.random.default_rng(16),
+        np.array([5]), 4, np.array([0, 0, 0, 1, 1, 1]), tier_probabilities(2, 1.4), state,
+        MdaConfig(), np.random.default_rng(16),
     )
-    assert picks == [5]
+    assert picks.tolist() == [5]
 
 
 # ------------------------- exact equality with the parent's grouped tier draw
@@ -651,7 +656,7 @@ def assert_same_tier_draws(pool, n, tiers, probs, state, cfg, seed):
         (select_tifl_mda, oracles.parent_select_tifl_mda, (state, cfg)),
     ):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        picks = select(pool, n, tiers, probs, *extra, rng)
+        picks = select(np.array(pool), n, np.array(tiers), probs, *extra, rng).tolist()
         assert picks == parent(pool, n, tiers, probs, *extra, ref_rng)
         assert rng.random() == ref_rng.random()
 
@@ -689,7 +694,7 @@ def test_select_mda_properties():
     rng = np.random.default_rng(17)
     pool = [1, 3, 5, 7, 9]
     for _ in range(200):
-        picks = select_mda(pool, 3, state, MdaConfig(), rng)
+        picks = select_mda(np.array(pool), 3, state, MdaConfig(), rng).tolist()
         assert len(picks) == 3
         assert picks == sorted(picks)
         assert set(picks) <= set(pool)
@@ -713,10 +718,10 @@ def test_select_mda_prefers_clean_history():
 
 def test_make_selector_binds_kinds():
     state = all_on_state(6, rounds=4)
-    times = [3.0, 1.0, 4.0, 1.5, 9.0, 2.6]
+    times = np.array([3.0, 1.0, 4.0, 1.5, 9.0, 2.6])
     for kind in ("random", "fedcs", "tifl", "mda", "tifl_mda"):
         select = make_selector(kind, round_times=times, tifl=TiflConfig(num_tiers=2))
-        picks = select([0, 1, 2, 3, 4, 5], 3, state, np.random.default_rng(19))
+        picks = select(np.arange(6), 3, state, np.random.default_rng(19))
         assert set(picks) <= {0, 1, 2, 3, 4, 5}
         assert len(picks) <= 3
 

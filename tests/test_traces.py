@@ -188,7 +188,7 @@ def fraction_trace(fraction, horizon=1000.0, extra_flips=()):
 
 def test_rank_traces_by_fraction():
     pool = [fraction_trace(f) for f in (0.9, 0.1, 0.5)]
-    assert rank_traces(table_of(pool)) == [1, 2, 0]
+    assert rank_traces(table_of(pool)).tolist() == [1, 2, 0]
 
 
 def test_rank_traces_rate_tiebreak():
@@ -196,16 +196,16 @@ def test_rank_traces_rate_tiebreak():
     slow = AvailabilityTrace(True, (500.0,), 1000.0)
     flappy = AvailabilityTrace(True, (250.0, 500.0, 750.0), 1000.0)
     assert stats_of(slow)[0] == stats_of(flappy)[0]
-    assert rank_traces(table_of([slow, flappy])) == [1, 0]
+    assert rank_traces(table_of([slow, flappy])).tolist() == [1, 0]
 
 
 def test_rank_traces_index_tiebreak_and_permutation():
-    assert rank_traces(raw_table([True] * 4, [[500.0]] * 4, 1000.0)) == [0, 1, 2, 3]
+    assert rank_traces(raw_table([True] * 4, [[500.0]] * 4, 1000.0)).tolist() == [0, 1, 2, 3]
     rng = np.random.default_rng(5)
     pool = table_of([random_trace(rng) for _ in range(30)])
-    order = rank_traces(pool)
+    order = rank_traces(pool).tolist()
     assert sorted(order) == list(range(30))
-    assert order == rank_traces(pool)  # deterministic
+    assert order == rank_traces(pool).tolist()  # deterministic
 
 
 def test_rank_traces_single_and_empty():
@@ -237,8 +237,9 @@ def block_of(trace, pool_size):
 
 def scenario_block_counts(kind, num_clients, pool_size=300, seed=0, mix=(0.6, 0.2, 0.2)):
     pool = ranked_pool(pool_size)
-    assert rank_traces(table_of(pool)) == list(range(pool_size))
-    assigned = build_scenario(pool, kind, num_clients, mix, seed)
+    ranked = rank_traces(table_of(pool))
+    assert ranked.tolist() == list(range(pool_size))
+    assigned = [pool[i] for i in build_scenario(ranked, kind, num_clients, mix, seed)]
     assert len(assigned) == num_clients
     counts = [0, 0, 0]
     for trace in assigned:
@@ -267,22 +268,21 @@ def test_build_scenario_odd_count_remainder_to_later_block():
 
 def test_build_scenario_draws_without_replacement():
     pool = ranked_pool(300)
-    assigned = build_scenario(pool, "low", 90, (0.6, 0.2, 0.2), 3)
+    assigned = [pool[i] for i in build_scenario(np.arange(300), "low", 90, (0.6, 0.2, 0.2), 3)]
     fractions = [stats_of(t)[0] for t in assigned]
     assert len(set(fractions)) == len(fractions)
 
 
 def test_build_scenario_deterministic():
-    pool = ranked_pool(120)
+    ranked = np.arange(120)
     spec = ("average", 30, (0.6, 0.2, 0.2))
-    assert build_scenario(pool, *spec, 42) == build_scenario(pool, *spec, 42)
-    assert build_scenario(pool, *spec, 42) != build_scenario(pool, *spec, 43)
+    assert build_scenario(ranked, *spec, 42).tolist() == build_scenario(ranked, *spec, 42).tolist()
+    assert build_scenario(ranked, *spec, 42).tolist() != build_scenario(ranked, *spec, 43).tolist()
 
 
 def test_build_scenario_insufficient_traces():
-    pool = ranked_pool(9)
     with pytest.raises(ConfigError, match=r"10.*9|9.*10"):
-        build_scenario(pool, "low", 10, (0.6, 0.2, 0.2), 0)
+        build_scenario(np.arange(9), "low", 10, (0.6, 0.2, 0.2), 0)
 
 
 # ------------------------------------------------------------ one-trace draws
@@ -639,7 +639,7 @@ def test_rank_order_equals_sorted_with_exact_ties():
         pool = [pool[i] for i in rng.permutation(len(pool))]
         stats = [oracles.loop_trace_stats(tr.start_available, tr.transitions, 1000.0) for tr in pool]
         expected = sorted(range(len(pool)), key=lambda i: (stats[i][0], -stats[i][1], i))
-        assert rank_traces(table_of(pool)) == expected
+        assert rank_traces(table_of(pool)).tolist() == expected
 
 
 def test_trace_table_items_and_arrays():
